@@ -213,6 +213,37 @@ impl<V> FlowCache<V> {
         }
     }
 
+    /// Looks up `flow` with a single probe, filling the miss in place.
+    ///
+    /// A hit refreshes recency exactly like [`FlowCache::lookup`]; a miss
+    /// counts once, computes the verdict with `fill` and installs it in the
+    /// empty slot the probe ended on (clock-evicting first when full). The
+    /// resulting state and statistics equal a [`FlowCache::lookup`] followed
+    /// on a miss by [`FlowCache::insert`], at one hash and one probe instead
+    /// of two.
+    #[inline]
+    pub fn lookup_or_insert_with(
+        &mut self,
+        flow: &FlowKey,
+        fill: impl FnOnce() -> V,
+    ) -> (&V, CacheResult) {
+        let (i, result) = match self.probe(flow) {
+            Ok(i) => {
+                self.stats.hits += 1;
+                (i, CacheResult::Hit)
+            }
+            Err(empty) => {
+                self.stats.misses += 1;
+                (self.fill_empty(*flow, empty, fill()), CacheResult::Miss)
+            }
+        };
+        let e = self.slots[i].as_mut().expect("probed or filled slot");
+        if result == CacheResult::Hit {
+            e.referenced = true;
+        }
+        (&e.value, result)
+    }
+
     /// Inserts (or replaces) an entry, clock-evicting a victim if at
     /// capacity.
     pub fn insert(&mut self, flow: FlowKey, verdict: V) {
@@ -222,23 +253,30 @@ impl<V> FlowCache<V> {
                 e.value = verdict;
                 e.referenced = true;
             }
-            Err(mut empty) => {
-                if self.len >= self.capacity {
-                    self.evict_one();
-                    // The backward shift may have moved entries into (or
-                    // out of) our probe chain; re-probe for the slot.
-                    empty = self
-                        .probe(&flow)
-                        .expect_err("key cannot appear during eviction");
-                }
-                self.slots[empty] = Some(Entry {
-                    key: flow,
-                    value: verdict,
-                    referenced: false,
-                });
-                self.len += 1;
+            Err(empty) => {
+                self.fill_empty(flow, empty, verdict);
             }
         }
+    }
+
+    /// Installs an absent `flow` given the empty slot its probe ended on,
+    /// clock-evicting a victim first if at capacity; returns the slot used.
+    fn fill_empty(&mut self, flow: FlowKey, mut empty: usize, verdict: V) -> usize {
+        if self.len >= self.capacity {
+            self.evict_one();
+            // The backward shift may have moved entries into (or out of)
+            // our probe chain; re-probe for the slot.
+            empty = self
+                .probe(&flow)
+                .expect_err("key cannot appear during eviction");
+        }
+        self.slots[empty] = Some(Entry {
+            key: flow,
+            value: verdict,
+            referenced: false,
+        });
+        self.len += 1;
+        empty
     }
 
     /// Second-chance scan: clears reference bits until an unreferenced

@@ -92,18 +92,14 @@ impl<V: Clone> Classifier<V> {
     /// worker fills and hits its own shard: a flow migrating across
     /// workers re-misses once per shard it lands on, exactly like a flow
     /// migrating across hardware islands.
+    ///
+    /// One flow-cache probe per packet: a hit returns the slot's verdict
+    /// directly, and a miss walks the table and fills the probed empty
+    /// slot in place.
     pub fn classify_at(&mut self, stripe: usize, flow: &FlowKey, vf: VfPort) -> (&V, CacheResult) {
-        // `.1` copies out the result; the `&V` borrow ends with the statement.
-        let result = self.cache.lookup_at(stripe, flow).1;
-        if result == CacheResult::Miss {
-            let verdict = self.table.lookup(flow, vf).clone();
-            self.cache.insert_at(stripe, *flow, verdict);
-        }
-        let verdict = self
-            .cache
-            .peek_at(stripe, flow)
-            .expect("entry present after fill");
-        (verdict, result)
+        let table = &self.table;
+        self.cache
+            .lookup_or_insert_with_at(stripe, flow, || table.lookup(flow, vf).clone())
     }
 
     /// The underlying filter table.
@@ -158,6 +154,49 @@ mod classifier_tests {
         assert_eq!(c.classify_at(1, &flow(1), VfPort(0)).1, CacheResult::Hit);
         let s = c.cache_stats();
         assert_eq!((s.hits, s.misses), (2, 2));
+    }
+
+    /// The single-probe `classify_at` must be indistinguishable from the
+    /// lookup → insert-on-miss → peek sequence it replaced: same verdicts,
+    /// same hit/miss results, same stats (evictions included), on a seeded
+    /// trace that keeps every shard under eviction pressure.
+    #[test]
+    fn classify_at_matches_lookup_insert_peek_under_eviction() {
+        let rules = [
+            FilterRule::new(1, FlowMatch::any().dst_port(5001), 1u32),
+            FilterRule::new(2, FlowMatch::any().src_port(7), 2),
+            FilterRule::new(3, FlowMatch::any().dst_port(80), 3),
+        ];
+        let mut cls: Classifier<u32> = Classifier::new(0, 64);
+        let mut table = FilterTable::new(0u32);
+        let mut cache: ShardedFlowCache<u32> = ShardedFlowCache::new(64);
+        for r in rules {
+            cls.add_rule(r.clone());
+            table.add(r);
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..50_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let stripe = (x >> 40) as usize % 3;
+            let dport = [5001, 80, 443][(x >> 20) as usize % 3];
+            let f = FlowKey::tcp([10, 0, 0, 1], (x % 600) as u16, [10, 0, 0, 2], dport);
+            let vf = VfPort((x >> 50) as u8 % 2);
+
+            let got = {
+                let (v, r) = cls.classify_at(stripe, &f, vf);
+                (*v, r)
+            };
+            let result = cache.lookup_at(stripe, &f).1;
+            if result == CacheResult::Miss {
+                cache.insert_at(stripe, f, *table.lookup(&f, vf));
+            }
+            let want = (*cache.peek_at(stripe, &f).expect("filled"), result);
+            assert_eq!(got, want, "step {step}");
+        }
+        assert_eq!(cls.cache_stats(), cache.stats());
+        assert!(cache.stats().evictions > 10_000, "trace must evict");
     }
 
     #[test]

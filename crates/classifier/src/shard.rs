@@ -91,6 +91,18 @@ impl<V> ShardedFlowCache<V> {
         self.shard(stripe).lookup(flow)
     }
 
+    /// Single-probe lookup with in-place miss fill
+    /// ([`FlowCache::lookup_or_insert_with`]) in worker `stripe`'s shard.
+    #[inline]
+    pub fn lookup_or_insert_with_at(
+        &mut self,
+        stripe: usize,
+        flow: &FlowKey,
+        fill: impl FnOnce() -> V,
+    ) -> (&V, CacheResult) {
+        self.shard(stripe).lookup_or_insert_with(flow, fill)
+    }
+
     /// Inserts into the shard owned by worker `stripe`.
     #[inline]
     pub fn insert_at(&mut self, stripe: usize, flow: FlowKey, verdict: V) {

@@ -32,6 +32,10 @@ pub enum BuildTreeError {
     UnknownBorrowClass(ClassId),
     /// A ceiling is lower than the configured guarantee.
     CeilBelowRate(ClassId),
+    /// A class's rate or ceiling is too large for the token arithmetic:
+    /// the tokens it accrues over the longest refill window (or, for the
+    /// root, its burst) would not fit a bucket's signed token range.
+    RateOutOfRange(ClassId),
 }
 
 impl fmt::Display for BuildTreeError {
@@ -58,6 +62,12 @@ impl fmt::Display for BuildTreeError {
             }
             BuildTreeError::CeilBelowRate(c) => {
                 write!(f, "class {c} has ceil below its guaranteed rate")
+            }
+            BuildTreeError::RateOutOfRange(c) => {
+                write!(
+                    f,
+                    "class {c} has a rate or ceil too large for token buckets"
+                )
             }
         }
     }

@@ -1,7 +1,6 @@
 //! The NIC back-end pipeline: labeling function + scheduling function,
 //! plugged into the SmartNIC model as an egress decider (paper Figure 5).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use classifier::{CacheResult, Classifier, FilterRule};
@@ -90,26 +89,26 @@ struct ClassChannels {
 /// scheduler trace events (`fv.class.<id>.*` namespace).
 struct PipelineTelemetry {
     registry: Registry,
-    per_class: HashMap<ClassId, ClassChannels>,
+    /// Indexed by tree node (`SchedulingTree::node_index`), so a verdict
+    /// reaches its counters through the tree's direct id table instead of
+    /// a hashed probe.
+    per_class: Vec<ClassChannels>,
     ring: Arc<EventRing>,
     spans: SpanRecorder,
 }
 
 impl PipelineTelemetry {
     fn new(registry: &Registry, tree: &SchedulingTree) -> Self {
-        let per_class = tree
-            .class_ids()
-            .into_iter()
-            .map(|id| {
-                let base = format!("fv.class.{id}");
-                let channels = ClassChannels {
+        let per_class = (0..tree.len())
+            .map(|i| {
+                let base = format!("fv.class.{}", tree.node(i).spec.id);
+                ClassChannels {
                     forwarded: registry.counter(&format!("{base}.forwarded")),
                     borrowed: registry.counter(&format!("{base}.borrowed")),
                     dropped: registry.counter(&format!("{base}.dropped")),
                     lent: registry.counter(&format!("{base}.lent")),
                     tx_bits: registry.counter(&format!("{base}.tx_bits")),
-                };
-                (id, channels)
+                }
             })
             .collect();
         PipelineTelemetry {
@@ -120,10 +119,21 @@ impl PipelineTelemetry {
         }
     }
 
-    fn record(&self, now: Nanos, leaf: ClassId, wire_bits: u64, verdict: SchedVerdict) {
+    fn channels(&self, tree: &SchedulingTree, id: ClassId) -> Option<&ClassChannels> {
+        tree.node_index(id).map(|i| &self.per_class[i])
+    }
+
+    fn record(
+        &self,
+        tree: &SchedulingTree,
+        now: Nanos,
+        leaf: ClassId,
+        wire_bits: u64,
+        verdict: SchedVerdict,
+    ) {
         match verdict {
             SchedVerdict::Forward => {
-                if let Some(c) = self.per_class.get(&leaf) {
+                if let Some(c) = self.channels(tree, leaf) {
                     c.forwarded.incr(0);
                     c.tx_bits.add(0, wire_bits);
                 }
@@ -131,18 +141,18 @@ impl PipelineTelemetry {
                     .record(now, TraceKind::SchedForward, leaf.0 as u64, wire_bits);
             }
             SchedVerdict::Borrowed(lender) => {
-                if let Some(c) = self.per_class.get(&leaf) {
+                if let Some(c) = self.channels(tree, leaf) {
                     c.borrowed.incr(0);
                     c.tx_bits.add(0, wire_bits);
                 }
-                if let Some(c) = self.per_class.get(&lender) {
+                if let Some(c) = self.channels(tree, lender) {
                     c.lent.incr(0);
                 }
                 self.ring
                     .record(now, TraceKind::SchedBorrow, leaf.0 as u64, lender.0 as u64);
             }
             SchedVerdict::Drop => {
-                if let Some(c) = self.per_class.get(&leaf) {
+                if let Some(c) = self.channels(tree, leaf) {
                     c.dropped.incr(0);
                 }
                 self.ring
@@ -645,7 +655,7 @@ impl EgressDecider for FlowValvePipeline {
                     let sched_dur = self.freq.duration_of(meter.total() - sched_t0);
                     t.spans
                         .record(Stage::Sched, now + classify_dur, pkt.id, sched_dur);
-                    t.record(now, label.leaf(), wire_bits, verdict);
+                    t.record(&self.tree, now, label.leaf(), wire_bits, verdict);
                 }
                 if verdict.passes() {
                     Decision::Forward

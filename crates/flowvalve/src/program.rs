@@ -25,8 +25,6 @@
 //! ([`Exec::elide_idle_updates`]) — no lock traffic for classes still
 //! inside their minimum update interval.
 
-use std::collections::HashMap;
-
 use fv_audit::{NoObserver, StepKind, StepObserver, StepRecord};
 use np_sim::cost::Op;
 use sim_core::fixed::Tokens;
@@ -75,6 +73,9 @@ pub(crate) struct ChainStep {
     pub(crate) parent: i32,
 }
 
+/// Marks the end of a leaf's chain list in [`CompiledProgram::heads`].
+const NO_CHAIN: u32 = u32::MAX;
+
 /// One chain's extent inside the shared step arena. Layout within
 /// `start..`: `path_len` [`StepOp::Update`] steps root→leaf, one
 /// [`StepOp::MeterLeaf`], an optional [`StepOp::MeterCeil`], then
@@ -85,6 +86,11 @@ struct Chain {
     path_len: u8,
     has_ceil: bool,
     borrow_len: u8,
+    /// The label this chain was compiled for; resolution compares it in
+    /// full, so labels sharing a leaf never alias.
+    label: QosLabel,
+    /// Next chain compiled for the same leaf class, or [`NO_CHAIN`].
+    next: u32,
 }
 
 /// A scheduling tree flattened into admission chains.
@@ -93,11 +99,18 @@ struct Chain {
 /// panics (debug) or misbehaves if run against a different tree, which is
 /// why the pipeline recompiles on every reload and guards cached
 /// resolutions with a generation token.
+///
+/// Resolution is hash-free: `heads[leaf.0]` is the first chain compiled
+/// for that leaf class (the same direct-indexed shape as the tree's id →
+/// node table), and chains sharing a leaf are linked through
+/// `Chain::next` and told apart by full label comparison. A policy emits
+/// one label per leaf in practice, so a resolve is one array load and
+/// one label compare.
 #[derive(Debug)]
 pub struct CompiledProgram {
     steps: Vec<ChainStep>,
     chains: Vec<Chain>,
-    lookup: HashMap<QosLabel, ChainId>,
+    heads: Vec<u32>,
     compile_ops: u64,
 }
 
@@ -113,7 +126,7 @@ impl CompiledProgram {
         let mut prog = CompiledProgram {
             steps: Vec::new(),
             chains: Vec::new(),
-            lookup: HashMap::new(),
+            heads: Vec::new(),
             compile_ops: 0,
         };
         for label in labels {
@@ -123,7 +136,7 @@ impl CompiledProgram {
     }
 
     fn add_chain(&mut self, tree: &SchedulingTree, label: &QosLabel) -> Option<ChainId> {
-        if let Some(&id) = self.lookup.get(label) {
+        if let Some(id) = self.resolve(label) {
             return Some(id);
         }
         // Resolve every class up front; an unresolvable label compiles to
@@ -180,20 +193,37 @@ impl CompiledProgram {
         }
 
         let id = ChainId(self.chains.len() as u32);
+        let head = label.leaf().0 as usize;
+        if head >= self.heads.len() {
+            self.heads.resize(head + 1, NO_CHAIN);
+        }
         self.chains.push(Chain {
             start,
             path_len: path.len() as u8,
             has_ceil,
             borrow_len: lenders.len() as u8,
+            label: *label,
+            next: self.heads[head],
         });
+        self.heads[head] = id.0;
         self.compile_ops += (self.steps.len() as u32 - start) as u64;
-        self.lookup.insert(*label, id);
         Some(id)
     }
 
-    /// The chain compiled for `label`, if any.
+    /// The chain compiled for `label`, if any: one direct-indexed load of
+    /// the leaf's list head, then full-label comparison along the (in
+    /// practice one-element) list of chains sharing that leaf.
+    #[inline]
     pub fn resolve(&self, label: &QosLabel) -> Option<ChainId> {
-        self.lookup.get(label).copied()
+        let mut c = *self.heads.get(label.leaf().0 as usize)?;
+        while c != NO_CHAIN {
+            let chain = &self.chains[c as usize];
+            if chain.label == *label {
+                return Some(ChainId(c));
+            }
+            c = chain.next;
+        }
+        None
     }
 
     /// Number of compiled chains.
@@ -593,6 +623,41 @@ mod tests {
         let prog = CompiledProgram::compile(&t, [&la, &la, &foreign]);
         assert_eq!(prog.chains(), 1, "duplicates collapse, foreign skipped");
         assert!(prog.resolve(&foreign).is_none());
+    }
+
+    /// The leaf-indexed head table must resolve exactly like a map keyed
+    /// by the full label: labels sharing a leaf but differing in their
+    /// borrow lists get distinct chains, and labels the program never
+    /// compiled (or whose leaf is outside the tree's id range) miss.
+    #[test]
+    fn resolve_agrees_with_a_label_map() {
+        use std::collections::HashMap;
+        let t = tree();
+        let (a, b, root) = (ClassId(10), ClassId(20), ClassId(1));
+        let compiled = [
+            t.label(a, &[]).unwrap(),
+            t.label(a, &[b]).unwrap(),
+            t.label(a, &[b, root]).unwrap(),
+            t.label(b, &[a]).unwrap(),
+            t.label(a, &[b]).unwrap(),
+        ];
+        let prog = CompiledProgram::compile(&t, &compiled);
+        let mut reference: HashMap<QosLabel, ChainId> = HashMap::new();
+        for l in &compiled {
+            let next = ChainId(reference.len() as u32);
+            reference.entry(*l).or_insert(next);
+        }
+        assert_eq!(prog.chains(), reference.len());
+        let absent = [
+            t.label(a, &[root]).unwrap(),
+            t.label(b, &[]).unwrap(),
+            QosLabel::new(&[ClassId(1), ClassId(10), ClassId(11)], &[]),
+            QosLabel::new(&[ClassId(1), ClassId(9_999)], &[]),
+            QosLabel::new(&[ClassId(20)], &[]),
+        ];
+        for l in compiled.iter().chain(&absent) {
+            assert_eq!(prog.resolve(l), reference.get(l).copied(), "label {l}");
+        }
     }
 
     #[test]

@@ -279,6 +279,23 @@ fn rate_raw(rate: Option<BitRate>) -> u64 {
     rate.map(|r| TokenRate::from_bit_rate(r).raw()).unwrap_or(0)
 }
 
+/// Whether `rate` keeps the token arithmetic in range: it converts to a
+/// fixed-point [`TokenRate`], and the tokens it accrues over the longest
+/// window a bucket is refilled or sized for (the expiry cap on an update
+/// epoch, the burst windows) fit half a bucket's signed range, leaving
+/// headroom for the level already held. Bursts derive from the root rate
+/// over a burst window, so they fit too.
+fn rate_fits(rate: Option<BitRate>, params: &TreeParams) -> bool {
+    let window = params
+        .expiry
+        .max(params.burst_window)
+        .max(params.shadow_burst_window);
+    rate.is_none_or(|r| {
+        TokenRate::checked_from_bit_rate(r)
+            .is_some_and(|t| t.accrued(window).raw() <= i64::MAX as u64 / 2)
+    })
+}
+
 /// `raw × num / den` with u128 intermediates.
 fn frac(raw: u64, (num, den): (u64, u64)) -> u64 {
     debug_assert!(den > 0);
@@ -361,7 +378,8 @@ impl SchedulingTree {
     ///
     /// Returns [`BuildTreeError`] for duplicate ids, dangling parents,
     /// missing/multiple roots, a rate-less root, cycles, excessive depth,
-    /// zero weights, or a ceiling below the guarantee.
+    /// zero weights, a ceiling below the guarantee, or a rate or ceiling
+    /// too large for the token arithmetic.
     pub fn build(specs: Vec<ClassSpec>, params: TreeParams) -> Result<Self, BuildTreeError> {
         // Index and uniqueness.
         let mut index = HashMap::with_capacity(specs.len());
@@ -376,6 +394,9 @@ impl SchedulingTree {
                 if c < r {
                     return Err(BuildTreeError::CeilBelowRate(s.id));
                 }
+            }
+            if !rate_fits(s.rate, &params) || !rate_fits(s.ceil, &params) {
+                return Err(BuildTreeError::RateOutOfRange(s.id));
             }
         }
 
@@ -1048,6 +1069,38 @@ mod tests {
         assert_eq!(
             SchedulingTree::build(specs, TreeParams::default()).unwrap_err(),
             BuildTreeError::CeilBelowRate(ClassId(1))
+        );
+    }
+
+    #[test]
+    fn build_rejects_rates_beyond_the_token_range() {
+        let huge = BitRate::from_bps(u64::MAX);
+        let specs = vec![ClassSpec::new(ClassId(1), "r", None).rate(huge)];
+        assert_eq!(
+            SchedulingTree::build(specs, TreeParams::default()).unwrap_err(),
+            BuildTreeError::RateOutOfRange(ClassId(1))
+        );
+        // A child's ceiling is checked too, and named.
+        let specs = vec![
+            ClassSpec::new(ClassId(1), "r", None).rate(gbps(10.0)),
+            ClassSpec::new(ClassId(2), "c", Some(ClassId(1))).ceil(huge),
+        ];
+        assert_eq!(
+            SchedulingTree::build(specs, TreeParams::default()).unwrap_err(),
+            BuildTreeError::RateOutOfRange(ClassId(2))
+        );
+        // The bound depends on the refill window: a rate that fits the
+        // default 2 ms expiry is refused under a much longer one.
+        let rate = BitRate::from_gbps(1e7);
+        let specs = || vec![ClassSpec::new(ClassId(1), "r", None).rate(rate)];
+        assert!(SchedulingTree::build(specs(), TreeParams::default()).is_ok());
+        let long = TreeParams {
+            expiry: Nanos::from_millis(1_000),
+            ..TreeParams::default()
+        };
+        assert_eq!(
+            SchedulingTree::build(specs(), long).unwrap_err(),
+            BuildTreeError::RateOutOfRange(ClassId(1))
         );
     }
 

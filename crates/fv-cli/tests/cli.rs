@@ -97,6 +97,25 @@ fn parse_errors_are_reported() {
 }
 
 #[test]
+fn out_of_range_rates_are_policy_errors_not_panics() {
+    let f = write_script(
+        "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
+         fv class add dev nic0 parent root classid 1:1 rate 18446744073709551615bit\n\
+         fv class add dev nic0 parent 1:1 classid 1:10\n",
+    );
+    for cmd in ["check", "show", "demo"] {
+        let out = fv().arg(cmd).arg(&f.path).output().expect("fv runs");
+        assert_ne!(out.status.code(), Some(101), "fv {cmd} panicked");
+        assert!(!out.status.success(), "fv {cmd} accepted the policy");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("class 1:1 has a rate or ceil too large for token buckets"),
+            "fv {cmd} stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn reads_from_stdin() {
     let mut child = fv()
         .args(["check", "-"])

@@ -120,10 +120,7 @@ pub fn run_with_chaos(
     let mut rng = SimRng::seed(scenario.seed);
     let mut ids = PacketIdGen::new();
     let mut events: EventQueue<Ev> = EventQueue::with_capacity(1 << 16);
-    let mut recorder = SeriesRecorder::new();
     let mut delay = Histogram::new_latency_ns();
-    let mut delay_per_app: std::collections::BTreeMap<String, Histogram> =
-        std::collections::BTreeMap::new();
     let mut delivered = 0u64;
     let mut dropped = 0u64;
 
@@ -133,9 +130,41 @@ pub fn run_with_chaos(
     let mut vf_free = [Nanos::ZERO; 256];
     let mut poll_armed = false;
 
-    // Build connections.
+    // Per-app accounting is keyed by app name, and apps sharing a name
+    // merge into one series and one delay histogram. Resolve every app to
+    // its name slot once; the loop accumulates per slot, and the keyed maps
+    // are built after it.
+    let mut slot_names: Vec<&str> = Vec::new();
+    let slot_of_app: Vec<usize> = scenario
+        .apps
+        .iter()
+        .map(|app| {
+            slot_names
+                .iter()
+                .position(|&n| n == app.name)
+                .unwrap_or_else(|| {
+                    slot_names.push(&app.name);
+                    slot_names.len() - 1
+                })
+        })
+        .collect();
+    let mut slot_samples: Vec<Vec<(Nanos, u64)>> = vec![Vec::new(); slot_names.len()];
+    let mut slot_delay: Vec<Histogram> = (0..slot_names.len())
+        .map(|_| Histogram::new_latency_ns())
+        .collect();
+
+    // Build connections. Connection `c` of app `ai` sends from
+    // 10.0.<ai+1>.1:<40000+c>, so a packet's flow names its connection
+    // directly (`conn_of`); that addressing is unique for up to 255 apps
+    // of 25 536 connections each.
+    assert!(
+        scenario.apps.len() <= 255 && scenario.apps.iter().all(|a| a.conns <= 25_536),
+        "scenario exceeds the per-connection flow addressing (255 apps x 25536 connections)"
+    );
     let mut conns: Vec<ConnState> = Vec::new();
+    let mut first_conn: Vec<usize> = Vec::with_capacity(scenario.apps.len());
     for (ai, app) in scenario.apps.iter().enumerate() {
+        first_conn.push(conns.len());
         for c in 0..app.conns {
             let flow = FlowKey::tcp(
                 [10, 0, (ai + 1) as u8, 1],
@@ -151,11 +180,13 @@ pub fn run_with_chaos(
             });
         }
     }
-    let conn_of: std::collections::HashMap<FlowKey, usize> = conns
-        .iter()
-        .enumerate()
-        .map(|(ci, c)| (c.flow, ci))
-        .collect();
+    // The connection that owns `flow` (inverse of the addressing above).
+    let conn_of = |conns: &[ConnState], flow: &FlowKey| -> Option<usize> {
+        let ai = (flow.src_ip.octets()[2] as usize).checked_sub(1)?;
+        let c = flow.src_port.checked_sub(40_000)? as usize;
+        let ci = first_conn.get(ai)? + c;
+        conns.get(ci).filter(|conn| conn.flow == *flow).map(|_| ci)
+    };
     for (ci, conn) in conns.iter().enumerate() {
         let start = scenario.apps[conn.app].start
             + Nanos::from_nanos(rng.range(0, scenario.base_rtt.as_nanos().max(2)));
@@ -208,13 +239,11 @@ pub fn run_with_chaos(
                         match out {
                             Outcome::Delivered { pkt, at } => {
                                 delivered += 1;
-                                recorder.record(&app.name, at, pkt.frame_bits());
+                                let slot = slot_of_app[conns[ci].app];
+                                slot_samples[slot].push((at, pkt.frame_bits()));
                                 let d = at.saturating_sub(pkt.created_at).as_nanos();
                                 delay.record(d);
-                                delay_per_app
-                                    .entry(app.name.clone())
-                                    .or_insert_with(Histogram::new_latency_ns)
-                                    .record(d);
+                                slot_delay[slot].record(d);
                                 events.schedule(at + ack_delay, Ev::Ack(ci, seq));
                             }
                             Outcome::Dropped { at, .. } => {
@@ -266,23 +295,18 @@ pub fn run_with_chaos(
                     match out {
                         Outcome::Delivered { pkt, at } => {
                             delivered += 1;
-                            let app = &scenario.apps[pkt.app.0 as usize];
-                            recorder.record(&app.name, at, pkt.frame_bits());
+                            let slot = slot_of_app[pkt.app.0 as usize];
+                            slot_samples[slot].push((at, pkt.frame_bits()));
                             let d = at.saturating_sub(pkt.created_at).as_nanos();
                             delay.record(d);
-                            delay_per_app
-                                .entry(app.name.clone())
-                                .or_insert_with(Histogram::new_latency_ns)
-                                .record(d);
-                            // Map back to the owning connection via seq/app:
-                            // connections store their app; find by flow.
-                            if let Some(&ci) = conn_of.get(&pkt.flow) {
+                            slot_delay[slot].record(d);
+                            if let Some(ci) = conn_of(&conns, &pkt.flow) {
                                 events.schedule(at + ack_delay, Ev::Ack(ci, pkt.seq));
                             }
                         }
                         Outcome::Dropped { pkt, at } => {
                             dropped += 1;
-                            if let Some(&ci) = conn_of.get(&pkt.flow) {
+                            if let Some(ci) = conn_of(&conns, &pkt.flow) {
                                 events.schedule(at + scenario.base_rtt, Ev::Loss(ci, pkt.seq));
                             }
                         }
@@ -293,6 +317,16 @@ pub fn run_with_chaos(
                     None => poll_armed = false,
                 }
             }
+        }
+    }
+
+    // Only apps that delivered something get a series and a histogram.
+    let mut recorder = SeriesRecorder::new();
+    let mut delay_per_app = std::collections::BTreeMap::new();
+    for ((name, samples), hist) in slot_names.into_iter().zip(slot_samples).zip(slot_delay) {
+        if !samples.is_empty() {
+            recorder.extend(name, samples);
+            delay_per_app.insert(name.to_owned(), hist);
         }
     }
 
@@ -480,6 +514,45 @@ mod tests {
             run(&s, EgressPath::flowvalve(nic))
         };
         assert_eq!(go(None), (plain.delivered, plain.dropped));
+    }
+
+    #[test]
+    fn apps_sharing_a_name_merge_into_one_series_and_histogram() {
+        let mut s = one_app_scenario(2);
+        s.horizon = Nanos::from_millis(10);
+        let app = |name: &str, id: u16| {
+            AppSpec::new(name, id, id as u8, 9000 + id, 2, Nanos::ZERO, s.horizon)
+        };
+        let go = |names: [&str; 3]| {
+            let mut s = s.clone();
+            s.apps = (0..3).map(|i| app(names[i], i as u16)).collect();
+            let nic = SmartNic::new(NicConfig::agilio_cx_10g(), Box::new(PassthroughDecider));
+            run(&s, EgressPath::flowvalve(nic)).0
+        };
+        let split = go(["a", "b", "c"]);
+        let merged = go(["dup", "c", "dup"]);
+        assert_eq!(merged.delivered, split.delivered);
+        assert_eq!(merged.recorder.names(), vec!["c", "dup"]);
+        let bits = |r: &RunReport, n: &str| r.recorder.total_bits(n);
+        assert!(bits(&split, "a") > 0 && bits(&split, "c") > 0);
+        assert_eq!(bits(&merged, "dup"), bits(&split, "a") + bits(&split, "c"));
+        assert_eq!(bits(&merged, "c"), bits(&split, "b"));
+        assert_eq!(merged.delay_per_app.len(), 2);
+        let count = |r: &RunReport, n: &str| r.delay_of(n).unwrap().count();
+        assert_eq!(
+            count(&merged, "dup"),
+            count(&split, "a") + count(&split, "c")
+        );
+        assert_eq!(count(&merged, "c"), count(&split, "b"));
+    }
+
+    #[test]
+    #[should_panic(expected = "flow addressing")]
+    fn scenarios_beyond_the_flow_addressing_are_refused() {
+        let mut s = one_app_scenario(1);
+        s.apps[0].conns = 25_537;
+        let nic = SmartNic::new(NicConfig::agilio_cx_10g(), Box::new(PassthroughDecider));
+        let _ = run(&s, EgressPath::flowvalve(nic));
     }
 
     #[test]

@@ -173,6 +173,14 @@ impl TokenRate {
         TokenRate((rate.as_bps() as u128 * RATE_SCALE as u128 / 1_000_000_000u128) as u64)
     }
 
+    /// [`TokenRate::from_bit_rate`], or `None` when the rate does not fit
+    /// the fixed-point range (above ~4.29 × 10¹⁸ bits/s), where the
+    /// unchecked conversion would wrap.
+    pub fn checked_from_bit_rate(rate: crate::units::BitRate) -> Option<Self> {
+        let raw = rate.as_bps() as u128 * RATE_SCALE as u128 / 1_000_000_000u128;
+        u64::try_from(raw).ok().map(TokenRate)
+    }
+
     /// Creates a rate from a raw fixed-point bits-per-ns value.
     #[inline]
     pub const fn from_raw(raw: u64) -> Self {

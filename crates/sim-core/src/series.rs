@@ -83,6 +83,21 @@ impl SeriesRecorder {
         }
     }
 
+    /// Appends `samples` to series `name`, in order — the same as calling
+    /// [`SeriesRecorder::record`] once per sample. An empty batch records
+    /// nothing (and creates no series).
+    pub fn extend(&mut self, name: &str, samples: Vec<(Nanos, u64)>) {
+        if samples.is_empty() {
+            return;
+        }
+        match self.samples.get_mut(name) {
+            Some(v) => v.extend(samples),
+            None => {
+                self.samples.insert(name.to_owned(), samples);
+            }
+        }
+    }
+
     /// Names of all recorded series, sorted.
     pub fn names(&self) -> Vec<&str> {
         self.samples.keys().map(String::as_str).collect()

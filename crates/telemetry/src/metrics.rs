@@ -217,8 +217,9 @@ impl Histogram {
         }
     }
 
-    /// Records one sample on the calling thread's stripe. Wait-free: five
-    /// relaxed atomics, four of them on a thread-private cache line.
+    /// Records one sample on the calling thread's stripe. Wait-free: three
+    /// relaxed RMWs (two of them on a thread-private cache line), plus a
+    /// min/max RMW only when the sample moves an extreme.
     #[inline]
     pub fn record(&self, v: u64) {
         self.record_at(thread_stripe(), v);
@@ -231,8 +232,15 @@ impl Histogram {
         let s = &self.stripes[stripe & SHARD_MASK];
         s.count.fetch_add(1, Relaxed);
         s.sum.fetch_add(v, Relaxed);
-        s.min.fetch_min(v, Relaxed);
-        s.max.fetch_max(v, Relaxed);
+        // Extremes only ever move one way, so a sample that does not beat
+        // the current one cannot change it: test with a plain load and pay
+        // the CAS-loop RMW only when the extreme actually moves.
+        if v < s.min.load(Relaxed) {
+            s.min.fetch_min(v, Relaxed);
+        }
+        if v > s.max.load(Relaxed) {
+            s.max.fetch_max(v, Relaxed);
+        }
     }
 
     /// Records a duration sample in nanoseconds.

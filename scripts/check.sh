@@ -13,14 +13,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (tier-1)"
-cargo test -q
+echo "==> cargo test --workspace -q (every crate's tests, not just the root package's)"
+cargo test --workspace -q
 
 echo "==> cargo test -p sim-core --doc (EventQueue API contract)"
 cargo test -q -p sim-core --doc
 
 echo "==> cargo bench -- --test (bench smoke: every bench body runs once)"
 cargo bench -p bench -- --test
+
+echo "==> figure drivers reproduce the committed results/ byte for byte"
+# The drivers are deterministic: rerunning all of them must leave
+# results/*.json and their stdout captures (results/*.txt) unchanged.
+cargo build --release -q -p bench
+for bin in crates/bench/src/bin/*.rs; do
+    name="$(basename "$bin" .rs)"
+    [[ -f "results/$name.json" ]] || continue
+    "target/release/$name" > "results/$name.txt"
+done
+git diff --exit-code --stat results/ \
+    || { echo "figure drivers no longer reproduce results/"; exit 1; }
 
 echo "==> fv check scripts/motivation.fv (rate-conformance gate)"
 cargo run --release -q -p fv-cli -- check scripts/motivation.fv
