@@ -1,8 +1,8 @@
 //! Decision provenance: what the admission walk actually did, per packet.
 //!
-//! The schedulers (interpreted walker, compiled program, qdisc chain) are
-//! generic over a [`StepObserver`]. The production path instantiates them
-//! with [`NoObserver`], whose `ENABLED: bool = false` constant lets the
+//! The scheduling walk (entered from a label or a compiled chain, alone or
+//! as a qdisc-chain stage) is generic over a [`StepObserver`]. The
+//! production path instantiates it with [`NoObserver`], whose `ENABLED: bool = false` constant lets the
 //! compiler erase every capture branch — the unsampled fast path pays one
 //! well-predicted branch per decision, nothing more. When the 1-in-2^n
 //! [`Sampler`] selects a packet, the pipeline re-runs nothing: the same
@@ -122,7 +122,8 @@ pub struct ProvenanceRecord {
     pub reload_gen: u64,
     /// Tree update epoch at decision time.
     pub epoch: u64,
-    /// Compiled chain index (`u32::MAX` for the interpreted walker).
+    /// Compiled chain index (`u32::MAX` when the walk ran from a label
+    /// rather than a compiled chain).
     pub chain: u32,
     /// Every executed step, in execution order.
     pub steps: Vec<StepRecord>,
@@ -138,9 +139,9 @@ impl ProvenanceRecord {
 
     /// The canonical walk text: everything the *scheduling semantics*
     /// produced — steps, verdict, cause, refunds — excluding cache/chain
-    /// bookkeeping that legitimately differs between the compiled program
-    /// and the interpreted walker. The compiled-vs-interpreted oracle
-    /// compares this byte-for-byte.
+    /// bookkeeping that legitimately differs between a cached compiled
+    /// chain and a walk from the label. The differential provenance
+    /// oracle compares this byte-for-byte against the reference walker.
     pub fn canonical(&self) -> String {
         let mut out = String::new();
         use std::fmt::Write as _;
@@ -196,7 +197,7 @@ impl ProvenanceRecord {
             self.reload_gen,
             self.epoch,
             if self.chain == u32::MAX {
-                "interpreted".to_string()
+                "none".to_string()
             } else {
                 self.chain.to_string()
             }

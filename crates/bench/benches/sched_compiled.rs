@@ -1,11 +1,12 @@
-//! Criterion: the compiled scheduling program against the interpreted
-//! walker — the before/after pair behind DESIGN.md §11's tables — plus the
-//! isolated cost of a decision-cache resolution.
+//! Criterion: the scheduling function entered from a label against the
+//! same walk entered from a compiled chain, plus the isolated cost of a
+//! decision-cache resolution.
 //!
-//! `decision_interpreted` is the old per-packet cost (hash-resolving every
-//! class of the label through the id → node index); `decision_compiled`
-//! runs the same admission through a flattened chain fronted by the
-//! direct-mapped decision cache, the way the pipeline's per-class arm does.
+//! `decision_interpreted` (the key predates the single walk) resolves the
+//! label's classes through the id → node index on every packet, as
+//! `SchedulingTree::schedule` does; `decision_compiled` runs the same
+//! admission through a precompiled chain fronted by the direct-mapped
+//! decision cache, the way the pipeline's per-class arm does.
 //! Both sides step virtual time (100 ns/packet) exactly as the NIC model
 //! does, so refill epochs roll at the realistic cadence and no wall-clock
 //! reads pollute the measurement.
@@ -31,8 +32,8 @@ fn shallow_tree() -> SchedulingTree {
     .expect("tree builds")
 }
 
-/// A 4-level path with a ceiling and three lenders: the worst case the
-/// interpreted walker hash-resolves per packet.
+/// A 4-level path with a ceiling and three lenders: the longest label
+/// `schedule` resolves per packet.
 fn deep_tree() -> SchedulingTree {
     SchedulingTree::build(
         vec![

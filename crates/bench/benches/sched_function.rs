@@ -11,12 +11,10 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use flowvalve::label::ClassId;
 use flowvalve::program::CompiledProgram;
-use flowvalve::quantum::ReservedExec;
 use flowvalve::sched::RealExec;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use fv_telemetry::Registry;
 use sim_core::clock::{Clock, WallClock};
-use sim_core::fixed::Tokens;
 use sim_core::units::BitRate;
 
 /// A fair-queueing tree with `n` leaves under one root.
@@ -51,9 +49,7 @@ fn bench_schedule(c: &mut Criterion) {
         );
     }
 
-    // Batched decision cost: admit 64 same-class packets in one call vs
-    // 64 per-packet calls — the amortized path the calendar NIC model
-    // uses when a burst lands in one tick.
+    // A burst of 64 same-class packets, one decision each.
     const BATCH: u64 = 64;
     g.throughput(Throughput::Elements(BATCH));
     {
@@ -70,18 +66,6 @@ fn bench_schedule(c: &mut Criterion) {
                     }
                 }
                 std::hint::black_box(passed)
-            });
-        });
-        g.bench_function("schedule_batch_64", |b| {
-            let mut exec = RealExec;
-            b.iter(|| {
-                std::hint::black_box(t.schedule_batch(
-                    &label,
-                    12_000,
-                    BATCH,
-                    clock.now(),
-                    &mut exec,
-                ))
             });
         });
     }
@@ -124,9 +108,9 @@ fn bench_schedule(c: &mut Criterion) {
         );
     }
 
-    // Aggregate scaling: the full striped wall-clock hot path — compiled
-    // admission chains, per-thread telemetry stripes, and a per-worker
-    // quantum reserve over the padded bucket slab. Unlike
+    // Aggregate scaling: the striped wall-clock hot path the real-thread
+    // packet path runs — compiled admission chains under `RealExec`,
+    // per-thread counter stripes, the padded bucket slab. Unlike
     // `parallel_threads` (a fixed total divided across threads), every
     // thread here performs `iters` decisions and the throughput
     // annotation is `threads` elements per iteration, so the reported
@@ -155,8 +139,7 @@ fn bench_schedule(c: &mut Criterion) {
                             let label = labels[k % 8];
                             s.spawn(move || {
                                 let chain = prog.resolve(&label).expect("compiled chain");
-                                // ~8 packets of credit per shared-slab grab.
-                                let mut exec = ReservedExec::new(Tokens::from_bits(8 * 12_000));
+                                let mut exec = RealExec;
                                 for _ in 0..iters {
                                     std::hint::black_box(t.schedule_compiled(
                                         &prog,
@@ -166,7 +149,6 @@ fn bench_schedule(c: &mut Criterion) {
                                         &mut exec,
                                     ));
                                 }
-                                exec.reserve.flush(&t);
                             });
                         }
                     });

@@ -27,9 +27,7 @@ fn bench_meter(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(bucket.meter(Tokens::from_bits(12_000))));
     });
 
-    // Batched grab vs per-packet metering: the amortization the batch
-    // scheduling path rides on. Both variants admit the same 64 packets
-    // per iteration; the grab does it in one atomic round-trip.
+    // A burst of 64 packets metered one by one after one refill.
     const BATCH: u64 = 64;
     const PKT_BITS: u64 = 12_000;
     g.throughput(Throughput::Elements(BATCH));
@@ -48,42 +46,6 @@ fn bench_meter(c: &mut Criterion) {
             std::hint::black_box(green)
         });
     });
-
-    g.bench_function("grab_batch_64", |b| {
-        let bucket = TokenBucket::new(Tokens::from_bits(u32::MAX as u64));
-        bucket.set_level(Tokens::from_bits(u32::MAX as u64));
-        b.iter(|| {
-            bucket.refill(Tokens::from_bits(BATCH * PKT_BITS));
-            std::hint::black_box(bucket.grab(Tokens::from_bits(BATCH * PKT_BITS)))
-        });
-    });
-
-    for threads in [2usize, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("grab_batch_64_contended", threads),
-            &threads,
-            |b, &threads| {
-                b.iter_custom(|iters| {
-                    let bucket = Arc::new(TokenBucket::new(Tokens::from_bits(u64::MAX >> 17)));
-                    bucket.set_level(Tokens::from_bits(u64::MAX >> 17));
-                    let start = std::time::Instant::now();
-                    std::thread::scope(|s| {
-                        for _ in 0..threads {
-                            let bucket = Arc::clone(&bucket);
-                            s.spawn(move || {
-                                for _ in 0..iters / threads as u64 {
-                                    let got = bucket.grab(Tokens::from_bits(BATCH * PKT_BITS));
-                                    bucket.put_back(got);
-                                    std::hint::black_box(got);
-                                }
-                            });
-                        }
-                    });
-                    start.elapsed()
-                });
-            },
-        );
-    }
 
     g.throughput(Throughput::Elements(1));
     for threads in [2usize, 4, 8] {

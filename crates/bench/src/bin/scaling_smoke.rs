@@ -2,8 +2,8 @@
 //! must grow with threads — on hardware that has the threads to give.
 //!
 //! Runs the same striped hot path as the `sched_function/scaling` bench
-//! family (compiled admission chains + per-worker quantum reserves over
-//! the padded bucket slab) at 1, 4 and — with `FV_SCALING_FULL=1` — 8
+//! family (compiled admission chains under `RealExec` over the padded
+//! bucket slab) at 1, 4 and — with `FV_SCALING_FULL=1` — 8
 //! threads, and asserts the aggregate rate scales:
 //!
 //! * quick gate: >= 2x aggregate speedup at 4 threads (needs >= 4 CPUs);
@@ -20,10 +20,9 @@ use std::time::Instant;
 
 use flowvalve::label::ClassId;
 use flowvalve::program::CompiledProgram;
-use flowvalve::quantum::ReservedExec;
+use flowvalve::sched::RealExec;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use sim_core::clock::{Clock, WallClock};
-use sim_core::fixed::Tokens;
 use sim_core::units::BitRate;
 
 const WIRE_BITS: u64 = 12_000;
@@ -59,7 +58,7 @@ fn aggregate_rate(threads: usize, per_thread: u64) -> f64 {
             let label = labels[k % LEAVES];
             s.spawn(move || {
                 let chain = prog.resolve(&label).expect("compiled chain");
-                let mut exec = ReservedExec::new(Tokens::from_bits(8 * WIRE_BITS));
+                let mut exec = RealExec;
                 for _ in 0..per_thread {
                     std::hint::black_box(t.schedule_compiled(
                         &prog,
@@ -69,7 +68,6 @@ fn aggregate_rate(threads: usize, per_thread: u64) -> f64 {
                         &mut exec,
                     ));
                 }
-                exec.reserve.flush(&t);
             });
         }
     });

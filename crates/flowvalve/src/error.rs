@@ -30,6 +30,9 @@ pub enum BuildTreeError {
     ZeroWeight(ClassId),
     /// A borrow label names a class that does not exist.
     UnknownBorrowClass(ClassId),
+    /// A class's borrow label names more than
+    /// [`crate::label::MAX_BORROW`] lenders.
+    TooManyLenders(ClassId),
     /// A ceiling is lower than the configured guarantee.
     CeilBelowRate(ClassId),
     /// A class's rate or ceiling is too large for the token arithmetic:
@@ -60,6 +63,11 @@ impl fmt::Display for BuildTreeError {
             BuildTreeError::UnknownBorrowClass(c) => {
                 write!(f, "borrow label references unknown class {c}")
             }
+            BuildTreeError::TooManyLenders(c) => write!(
+                f,
+                "class {c} borrows from more than {} lender classes",
+                crate::label::MAX_BORROW
+            ),
             BuildTreeError::CeilBelowRate(c) => {
                 write!(f, "class {c} has ceil below its guaranteed rate")
             }

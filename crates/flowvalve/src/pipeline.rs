@@ -37,33 +37,6 @@ pub enum LockDiscipline {
     Global,
 }
 
-/// FlowValve's on-NIC processing pipeline.
-///
-/// Owns the compiled policy: the flow classifier (filter table + exact
-/// match flow cache) whose verdicts are ready-made [`QosLabel`]s, and the
-/// shared scheduling tree. Implements [`EgressDecider`] so it slots
-/// directly into [`np_sim::nic::SmartNic`].
-///
-/// # Example
-///
-/// ```
-/// use flowvalve::frontend::Policy;
-/// use flowvalve::pipeline::FlowValvePipeline;
-/// use flowvalve::tree::TreeParams;
-/// use np_sim::config::NicConfig;
-/// use np_sim::nic::SmartNic;
-///
-/// let policy = Policy::parse(
-///     "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
-///      fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
-///      fv class add dev nic0 parent 1:1 classid 1:10\n",
-/// )?;
-/// let cfg = NicConfig::agilio_cx_10g();
-/// let pipeline = FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg)?;
-/// let nic = SmartNic::new(cfg, Box::new(pipeline));
-/// assert!(format!("{nic:?}").contains("flowvalve"));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 /// Scheduler-side chaos hook: lets fv-chaos skew the clock the scheduling
 /// function sees relative to the NIC clock (the dual-clock-skew fault).
 /// The pipeline clamps the skewed clock to be monotonic, so token-bucket
@@ -170,12 +143,38 @@ struct AuditHook {
     sampler: Sampler,
 }
 
+/// FlowValve's on-NIC processing pipeline.
+///
+/// Owns the compiled policy: the flow classifier (filter table + exact
+/// match flow cache) whose verdicts are ready-made [`QosLabel`]s, and the
+/// shared scheduling tree. Implements [`EgressDecider`] so it slots
+/// directly into [`np_sim::nic::SmartNic`].
+///
+/// # Example
+///
+/// ```
+/// use flowvalve::frontend::Policy;
+/// use flowvalve::pipeline::FlowValvePipeline;
+/// use flowvalve::tree::TreeParams;
+/// use np_sim::config::NicConfig;
+/// use np_sim::nic::SmartNic;
+///
+/// let policy = Policy::parse(
+///     "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
+///      fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
+///      fv class add dev nic0 parent 1:1 classid 1:10\n",
+/// )?;
+/// let cfg = NicConfig::agilio_cx_10g();
+/// let pipeline = FlowValvePipeline::compile(&policy, TreeParams::default(), &cfg)?;
+/// let nic = SmartNic::new(cfg, Box::new(pipeline));
+/// assert!(format!("{nic:?}").contains("flowvalve"));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub struct FlowValvePipeline {
     tree: Arc<SchedulingTree>,
     classifier: Classifier<Option<QosLabel>>,
-    /// The scheduling tree flattened into admission chains, rebuilt on
-    /// every reload. Labels the policy never emitted (none, in practice)
-    /// fall back to the interpreted walker.
+    /// The scheduling tree flattened into admission chains, one per label
+    /// the classifier can emit, rebuilt on every reload.
     program: CompiledProgram,
     /// Direct-mapped label → chain cache fronting `program`, validated by
     /// `reload_gen` + the tree's epoch counter.
@@ -188,9 +187,6 @@ pub struct FlowValvePipeline {
     /// configuration-time work (the NIC is not processing packets yet) and
     /// charges nothing.
     pending_compile_ops: u64,
-    /// When false, the per-class arm runs the interpreted walker instead
-    /// of the compiled fast path — the differential-testing oracle.
-    use_program: bool,
     update_hold: Nanos,
     discipline: LockDiscipline,
     freq: sim_core::time::Freq,
@@ -242,6 +238,8 @@ impl FlowValvePipeline {
         classifier: Classifier<Option<QosLabel>>,
         nic: &NicConfig,
     ) -> Self {
+        // The guarded update section holds its lock for the class_update
+        // cycle cost at the configured clock.
         let update_hold = nic.freq.duration_of(Cycles::new(nic.costs.class_update));
         let program = Self::build_program(&tree, &classifier);
         let cache = DecisionCache::new(tree.len().max(64));
@@ -252,7 +250,6 @@ impl FlowValvePipeline {
             cache,
             reload_gen: 0,
             pending_compile_ops: 0,
-            use_program: true,
             update_hold,
             discipline: LockDiscipline::PerClass,
             freq: nic.freq,
@@ -271,36 +268,24 @@ impl FlowValvePipeline {
         default: Option<QosLabel>,
         nic: &NicConfig,
     ) -> Self {
+        Self::from_classifier(tree, Self::build_classifier(rules, default), nic)
+    }
+
+    /// A classifier over `rules` with the default flow-cache capacity.
+    fn build_classifier(
+        rules: Vec<FilterRule<Option<QosLabel>>>,
+        default: Option<QosLabel>,
+    ) -> Classifier<Option<QosLabel>> {
         let mut classifier = Classifier::new(default, Self::DEFAULT_CACHE_CAPACITY);
         for r in rules {
             classifier.add_rule(r);
         }
-        // The guarded update section holds its lock for the class_update
-        // cycle cost at the configured clock.
-        let update_hold = nic.freq.duration_of(Cycles::new(nic.costs.class_update));
-        let program = Self::build_program(&tree, &classifier);
-        let cache = DecisionCache::new(tree.len().max(64));
-        FlowValvePipeline {
-            tree,
-            classifier,
-            program,
-            cache,
-            reload_gen: 0,
-            pending_compile_ops: 0,
-            use_program: true,
-            update_hold,
-            discipline: LockDiscipline::PerClass,
-            freq: nic.freq,
-            framing: nic.framing,
-            telemetry: None,
-            audit: None,
-            chaos: None,
-            sched_floor: Nanos::ZERO,
-        }
+        classifier
     }
 
     /// Flattens `tree` into admission chains for every label the
     /// classifier can emit: each filter verdict plus the default class.
+    /// Every decision therefore resolves to a chain.
     fn build_program(
         tree: &SchedulingTree,
         classifier: &Classifier<Option<QosLabel>>,
@@ -376,17 +361,6 @@ impl FlowValvePipeline {
         self
     }
 
-    /// Disables the compiled fast path: every decision runs the
-    /// interpreted tree walker (builder-style). This is the differential
-    /// oracle for the compiled scheduling program — verdicts, counters and
-    /// modeled charges must be identical either way, and
-    /// `tests/compiled_oracle.rs` drives both configurations on the same
-    /// traffic to prove it.
-    pub fn with_interpreted_scheduler(mut self) -> Self {
-        self.use_program = false;
-        self
-    }
-
     /// The shared scheduling tree (for experiment-side telemetry).
     pub fn tree(&self) -> &Arc<SchedulingTree> {
         &self.tree
@@ -410,12 +384,8 @@ impl FlowValvePipeline {
         nic: &NicConfig,
     ) -> Result<(), ParseFvError> {
         let (tree, rules, default) = policy.compile(params)?;
-        let mut classifier = Classifier::new(default, Self::DEFAULT_CACHE_CAPACITY);
-        for r in rules {
-            classifier.add_rule(r);
-        }
         self.tree = Arc::new(tree);
-        self.classifier = classifier;
+        self.classifier = Self::build_classifier(rules, default);
         // Recompile the scheduling program against the new tree and
         // invalidate every cached resolution: the generation bump keeps
         // any straggler lookups from resolving against pre-reload state,
@@ -455,6 +425,26 @@ impl FlowValvePipeline {
     pub fn decision_cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
     }
+}
+
+fn audit_verdict(verdict: SchedVerdict) -> AuditVerdict {
+    match verdict {
+        SchedVerdict::Forward => AuditVerdict::Forward,
+        SchedVerdict::Borrowed(l) => AuditVerdict::Borrowed(l.0),
+        SchedVerdict::Drop => AuditVerdict::Drop,
+    }
+}
+
+/// Why a recorded walk refused its packet: the deciding (last red) step
+/// names the refusal — a red ceiling meter is an OverCeil, any other red
+/// meter is the leaf (and its lenders) out of tokens.
+fn drop_cause(verdict: SchedVerdict, rec: &Recorder) -> Option<DropCause> {
+    (verdict == SchedVerdict::Drop).then(|| {
+        match rec.steps.iter().rev().find(|s| !s.green).map(|s| s.kind) {
+            Some(StepKind::MeterCeil) => DropCause::OverCeil,
+            _ => DropCause::NoTokens,
+        }
+    })
 }
 
 impl EgressDecider for FlowValvePipeline {
@@ -531,106 +521,66 @@ impl EgressDecider for FlowValvePipeline {
                         // cache. Any reload, rate-estimation epoch roll or
                         // borrowing-state change moves the generation, so
                         // the stale entry misses and the resolution redoes
-                        // one hash probe — there is no stale-verdict
-                        // window. Under SimExec the chain charges exactly
-                        // what the interpreted walker would.
-                        let mut cache_hit = false;
-                        let chain = if self.use_program {
-                            let gen = self.reload_gen.wrapping_add(self.tree.epoch());
-                            // Each worker resolves through its own cache
-                            // stripe (per-ME EMFC slice): no shared table
-                            // lines between engines, at the price of one
-                            // cold miss per worker per flow.
-                            let stripe = meter.worker();
-                            match self.cache.lookup_at(stripe, &label, gen) {
-                                Some(c) => {
-                                    cache_hit = true;
-                                    Some(c)
-                                }
-                                None => {
-                                    let resolved = self.program.resolve(&label);
-                                    if let Some(c) = resolved {
-                                        self.cache.insert_at(stripe, label, c, gen);
-                                    }
-                                    resolved
-                                }
+                        // one program lookup — there is no stale-verdict
+                        // window. Each worker resolves through its own
+                        // cache stripe (per-ME EMFC slice): no shared table
+                        // lines between engines, at the price of one cold
+                        // miss per worker per flow.
+                        let gen = self.reload_gen.wrapping_add(self.tree.epoch());
+                        let stripe = meter.worker();
+                        let (chain, cache_hit) = match self.cache.lookup_at(stripe, &label, gen) {
+                            Some(c) => (c, true),
+                            None => {
+                                let c = self.program.resolve(&label).expect(
+                                    "the program compiles every label the classifier emits",
+                                );
+                                self.cache.insert_at(stripe, label, c, gen);
+                                (c, false)
                             }
-                        } else {
-                            None
                         };
                         let mut exec = SimExec {
                             meter,
                             locks,
                             update_hold: self.update_hold,
                         };
-                        let sampled = self.audit.as_ref().is_some_and(|a| a.sampler.hit(pkt.id));
-                        if sampled {
+                        match self.audit.as_ref().filter(|a| a.sampler.hit(pkt.id)) {
                             // Sampled: the same single walk runs with a
                             // recorder threaded through it; charges and
                             // verdict are identical to the unsampled path.
-                            let mut rec = Recorder::new();
-                            let verdict = match chain {
-                                Some(c) => self.tree.schedule_compiled_observed(
+                            Some(audit) => {
+                                let mut rec = Recorder::new();
+                                let verdict = self.tree.schedule_compiled_observed(
                                     &self.program,
-                                    c,
+                                    chain,
                                     wire_bits,
                                     sched_now,
                                     &mut exec,
                                     &mut rec,
-                                ),
-                                None => self.tree.schedule_observed(
-                                    &label, wire_bits, sched_now, &mut exec, &mut rec,
-                                ),
-                            };
-                            let cause = if verdict == SchedVerdict::Drop {
-                                // The deciding step names the refusal: a
-                                // red ceiling meter is an OverCeil, any
-                                // other red meter is the leaf (and its
-                                // lenders) out of tokens.
-                                let deciding =
-                                    rec.steps.iter().rev().find(|s| !s.green).map(|s| s.kind);
-                                Some(match deciding {
-                                    Some(StepKind::MeterCeil) => DropCause::OverCeil,
-                                    _ => DropCause::NoTokens,
-                                })
-                            } else {
-                                None
-                            };
-                            let audit = self.audit.as_ref().expect("sampled implies hook");
-                            audit.ring.record(ProvenanceRecord {
-                                pkt_id: pkt.id,
-                                at: sched_now,
-                                leaf: label.leaf().0,
-                                wire_bits,
-                                verdict: match verdict {
-                                    SchedVerdict::Forward => AuditVerdict::Forward,
-                                    SchedVerdict::Borrowed(l) => AuditVerdict::Borrowed(l.0),
-                                    SchedVerdict::Drop => AuditVerdict::Drop,
-                                },
-                                cause,
-                                cache_hit,
-                                generation: self.reload_gen.wrapping_add(self.tree.epoch()),
-                                reload_gen: self.reload_gen,
-                                epoch: self.tree.epoch(),
-                                chain: chain.map(|c| c.index()).unwrap_or(u32::MAX),
-                                steps: rec.steps,
-                                refunds: rec.refunds,
-                            });
-                            verdict
-                        } else {
-                            match chain {
-                                Some(c) => self.tree.schedule_compiled(
-                                    &self.program,
-                                    c,
+                                );
+                                audit.ring.record(ProvenanceRecord {
+                                    pkt_id: pkt.id,
+                                    at: sched_now,
+                                    leaf: label.leaf().0,
                                     wire_bits,
-                                    sched_now,
-                                    &mut exec,
-                                ),
-                                // Oracle fallback for labels the program
-                                // has no chain for (never emitted by the
-                                // policy).
-                                None => self.tree.schedule(&label, wire_bits, sched_now, &mut exec),
+                                    verdict: audit_verdict(verdict),
+                                    cause: drop_cause(verdict, &rec),
+                                    cache_hit,
+                                    generation: self.reload_gen.wrapping_add(self.tree.epoch()),
+                                    reload_gen: self.reload_gen,
+                                    epoch: self.tree.epoch(),
+                                    chain: chain.index(),
+                                    steps: rec.steps,
+                                    refunds: rec.refunds,
+                                });
+                                verdict
                             }
+                            None => self.tree.schedule_compiled(
+                                &self.program,
+                                chain,
+                                wire_bits,
+                                sched_now,
+                                &mut exec,
+                            ),
                         }
                     }
                     LockDiscipline::Global => {
@@ -650,7 +600,7 @@ impl EgressDecider for FlowValvePipeline {
                 };
                 if let Some(t) = &self.telemetry {
                     // Sched span: every cycle the scheduling function
-                    // charged (token grabs, lock waits, updates), placed
+                    // charged (token meters, lock waits, updates), placed
                     // right after the classify span on the same worker.
                     let sched_dur = self.freq.duration_of(meter.total() - sched_t0);
                     t.spans
@@ -678,6 +628,7 @@ impl EgressDecider for FlowValvePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fv_audit::Sampler;
     use netstack::flow::FlowKey;
     use netstack::packet::{AppId, VfPort};
     use np_sim::config::CycleCosts;
@@ -877,5 +828,269 @@ mod tests {
         assert_eq!(classify.a, 3);
         assert_eq!(sched.a, 3);
         assert_eq!(sched.at.as_nanos(), classify.at.as_nanos() + classify.b);
+    }
+
+    /// Two priority bands; the bulk band's weighted leaves borrow from
+    /// each other (the busiest from two lenders, in order) and one is
+    /// ceiled, so every verdict kind, step kind and drop cause occurs.
+    const ORACLE_V1: &str = "fv qdisc add dev nic0 root handle 1: fv\n\
+         fv class add dev nic0 parent root classid 1:1 rate 10gbit\n\
+         fv class add dev nic0 parent 1:1 classid 1:10 name hi prio 0\n\
+         fv class add dev nic0 parent 1:1 classid 1:2 name bulk prio 1\n\
+         fv class add dev nic0 parent 1:2 classid 1:20 name a weight 1 ceil 1gbit\n\
+         fv class add dev nic0 parent 1:2 classid 1:30 name b weight 1\n\
+         fv class add dev nic0 parent 1:2 classid 1:40 name c weight 1\n\
+         fv filter add dev nic0 match ip dport 5001 flowid 1:10\n\
+         fv filter add dev nic0 match ip dport 5002 flowid 1:20 borrow 1:30\n\
+         fv filter add dev nic0 match ip dport 5003 flowid 1:30 borrow 1:20,1:40\n\
+         fv filter add dev nic0 match ip dport 5004 flowid 1:40 borrow 1:30\n";
+
+    /// V2 swaps the bands and halves the root: a real reconfiguration,
+    /// not a no-op reload.
+    const ORACLE_V2: &str = "fv qdisc add dev nic0 root handle 1: fv\n\
+         fv class add dev nic0 parent root classid 1:1 rate 5gbit\n\
+         fv class add dev nic0 parent 1:1 classid 1:10 name hi prio 1\n\
+         fv class add dev nic0 parent 1:1 classid 1:2 name bulk prio 0\n\
+         fv class add dev nic0 parent 1:2 classid 1:20 name a weight 1 ceil 1gbit\n\
+         fv class add dev nic0 parent 1:2 classid 1:30 name b weight 1\n\
+         fv class add dev nic0 parent 1:2 classid 1:40 name c weight 1\n\
+         fv filter add dev nic0 match ip dport 5001 flowid 1:10\n\
+         fv filter add dev nic0 match ip dport 5002 flowid 1:20 borrow 1:30\n\
+         fv filter add dev nic0 match ip dport 5003 flowid 1:30 borrow 1:20,1:40\n\
+         fv filter add dev nic0 match ip dport 5004 flowid 1:40 borrow 1:30\n";
+
+    /// `decide` with the decision cache and the compiled program replaced
+    /// by a per-packet reference walk over the classified label — the
+    /// differential oracle for the production path, run on a twin
+    /// pipeline. Returns the decision and, for scheduled packets, the
+    /// canonical provenance of the walk.
+    fn reference_decide(
+        p: &mut FlowValvePipeline,
+        pkt: &Packet,
+        now: Nanos,
+        meter: &mut CostMeter,
+        locks: &mut LockTable,
+    ) -> (Decision, Option<String>) {
+        if p.pending_compile_ops > 0 {
+            meter.charge_n(Op::ProgramCompile, p.pending_compile_ops);
+            p.pending_compile_ops = 0;
+        }
+        let (label, cache) = p.classifier.classify_at(meter.worker(), &pkt.flow, pkt.vf);
+        let label = *label;
+        meter.charge(match cache {
+            CacheResult::Hit => Op::ClassifyHit,
+            CacheResult::Miss => Op::ClassifyMiss,
+        });
+        let Some(label) = label else {
+            return (Decision::Forward, None);
+        };
+        let wire_bits = p.framing.wire_bits(pkt.frame_len as u64);
+        let mut exec = SimExec {
+            meter,
+            locks,
+            update_hold: p.update_hold,
+        };
+        let mut rec = Recorder::new();
+        let verdict = p
+            .tree
+            .schedule_reference(&label, wire_bits, now, &mut exec, &mut rec);
+        let record = ProvenanceRecord {
+            pkt_id: pkt.id,
+            at: now,
+            leaf: label.leaf().0,
+            wire_bits,
+            verdict: audit_verdict(verdict),
+            cause: drop_cause(verdict, &rec),
+            cache_hit: false,
+            generation: 0,
+            reload_gen: 0,
+            epoch: 0,
+            chain: u32::MAX,
+            steps: rec.steps,
+            refunds: rec.refunds,
+        };
+        let decision = if verdict.passes() {
+            Decision::Forward
+        } else {
+            Decision::Drop
+        };
+        (decision, Some(record.canonical()))
+    }
+
+    /// A differential run: the cached pipeline (`fast`) against the
+    /// per-packet reference walk on a twin (`oracle`), each side with its
+    /// own modeled cost meter and lock table.
+    struct Run {
+        fast: FlowValvePipeline,
+        oracle: FlowValvePipeline,
+        meters: [CostMeter; 2],
+        locks: [LockTable; 2],
+        rng: u64,
+        now: Nanos,
+        id: u64,
+        /// Provenance records compared, by verdict and drop cause.
+        records: u64,
+        borrowed: u64,
+        over_ceil: u64,
+        no_tokens: u64,
+    }
+
+    impl Run {
+        fn new(sample: bool) -> Self {
+            let policy = Policy::parse(ORACLE_V1).unwrap();
+            let nic = NicConfig::agilio_cx_10g();
+            let build =
+                || FlowValvePipeline::compile(&policy, TreeParams::default(), &nic).unwrap();
+            let mut fast = build();
+            if sample {
+                // Records are compared (and so consumed) packet by packet,
+                // so slot reuse in the ring never loses a comparison.
+                fast.attach_auditor(Arc::new(ProvenanceRing::new(256)), Sampler::one_in_pow2(0));
+            }
+            Run {
+                fast,
+                oracle: build(),
+                meters: [(); 2].map(|_| CostMeter::new(CycleCosts::agilio())),
+                locks: [(); 2].map(|_| LockTable::new(64)),
+                rng: 0x9e37_79b9_7f4a_7c15,
+                now: Nanos::ZERO,
+                id: 0,
+                records: 0,
+                borrowed: 0,
+                over_ceil: 0,
+                no_tokens: 0,
+            }
+        }
+
+        fn reload(&mut self, policy: &str) {
+            let policy = Policy::parse(policy).unwrap();
+            let nic = NicConfig::agilio_cx_10g();
+            for p in [&mut self.fast, &mut self.oracle] {
+                p.reload(&policy, TreeParams::default(), &nic).unwrap();
+            }
+        }
+
+        /// Drives `n` packets `gap` apart through both sides: decisions,
+        /// cost-meter totals and — when `fast` samples every packet —
+        /// canonical provenance must agree from the first packet on.
+        fn drive(&mut self, n: u64, gap: Nanos) {
+            let [meter_f, meter_o] = &mut self.meters;
+            let [locks_f, locks_o] = &mut self.locks;
+            for _ in 0..n {
+                self.now += gap;
+                self.id += 1;
+                let (id, now) = (self.id, self.now);
+                self.rng ^= self.rng << 13;
+                self.rng ^= self.rng >> 7;
+                self.rng ^= self.rng << 17;
+                let r = self.rng;
+                // Mostly class traffic, a sprinkle of unmatched bypass.
+                let dport = match r % 10 {
+                    0 => 9_999,
+                    1..=3 => 5_001,
+                    4 => 5_002,
+                    5 => 5_004,
+                    _ => 5_003,
+                };
+                let p = Packet {
+                    frame_len: 200 + (r % 1_300) as u32,
+                    ..pkt(id, dport)
+                };
+                let df = self.fast.decide(&p, now, meter_f, locks_f);
+                let (dr, canon) = reference_decide(&mut self.oracle, &p, now, meter_o, locks_o);
+                assert_eq!(df, dr, "packet {id} diverged at t={now:?}");
+                assert_eq!(
+                    meter_f.total(),
+                    meter_o.total(),
+                    "packet {id}: modeled cycles diverged at t={now:?}"
+                );
+                let Some(ring) = self.fast.provenance_ring() else {
+                    continue;
+                };
+                match (ring.get(id), canon) {
+                    (Some(f), Some(o)) => {
+                        assert_eq!(f.canonical(), o, "packet {id} provenance diverged");
+                        match (f.verdict, f.cause) {
+                            (AuditVerdict::Borrowed(_), _) => self.borrowed += 1,
+                            (_, Some(DropCause::OverCeil)) => self.over_ceil += 1,
+                            (_, Some(DropCause::NoTokens)) => self.no_tokens += 1,
+                            _ => {}
+                        }
+                        self.records += 1;
+                    }
+                    (None, None) => assert_eq!(dport, 9_999, "packet {id} not captured"),
+                    (f, o) => panic!(
+                        "packet {id}: captured on one side only (fast {}, reference {})",
+                        f.is_some(),
+                        o.is_some()
+                    ),
+                }
+            }
+            assert_eq!(meter_f.op_count(), meter_o.op_count());
+            assert_eq!(locks_f.stats(), locks_o.stats());
+        }
+    }
+
+    /// The cached production path against the per-packet reference walk
+    /// on twin state, through warm-up with borrow flips, epoch rolls, a
+    /// hot reload and an idle gap (expired-status removal).
+    fn differential_run(sample: bool) -> Run {
+        let mut run = Run::new(sample);
+
+        // Phase 1 — warm-up: cold flows miss, steady flows hit. The 500 ns
+        // gap at ~750 B offers ~12 Gbps to a 10 Gbps tree, so classes run
+        // dry and refill and borrowing flips (every flip bumps the tree
+        // epoch and invalidates the cache).
+        run.drive(20_000, Nanos::from_nanos(500));
+        let (hits_warm, misses_warm) = run.fast.decision_cache_stats();
+        assert!(hits_warm > 0, "steady flows must hit the decision cache");
+
+        // Phase 2 — epoch rolls: every gap crosses the update interval, so
+        // every lookup misses and re-resolves.
+        run.drive(200, Nanos::from_micros(120));
+        let (_, misses_rolls) = run.fast.decision_cache_stats();
+        assert!(
+            misses_rolls > misses_warm,
+            "epoch rolls must invalidate cached resolutions"
+        );
+
+        // Phase 3 — hot reload on both sides: new tree, new program, new
+        // generation.
+        run.reload(ORACLE_V2);
+        run.drive(20_000, Nanos::from_nanos(500));
+        let (hits_after, misses_after) = run.fast.decision_cache_stats();
+        assert!(
+            misses_after > misses_rolls,
+            "the reload must invalidate the cache"
+        );
+        assert!(
+            hits_after > hits_warm,
+            "steady flows must re-warm the cache"
+        );
+
+        // Phase 4 — a long idle gap (expired-status removal), then traffic.
+        run.now += Nanos::from_millis(5);
+        run.drive(5_000, Nanos::from_nanos(800));
+        run
+    }
+
+    #[test]
+    fn cached_path_reconverges_with_the_reference_after_reload_epoch_roll_and_borrow_flip() {
+        let run = differential_run(false);
+        let (hits, misses) = run.fast.decision_cache_stats();
+        assert!(hits > misses, "cache hits {hits}, misses {misses}");
+    }
+
+    #[test]
+    fn sampled_provenance_matches_the_reference_byte_for_byte() {
+        let run = differential_run(true);
+        let (records, borrowed) = (run.records, run.borrowed);
+        let (over_ceil, no_tokens) = (run.over_ceil, run.no_tokens);
+        assert!(records > 30_000, "too few records compared: {records}");
+        assert!(
+            borrowed > 0 && over_ceil > 0 && no_tokens > 0,
+            "every verdict and drop cause must be compared: \
+             {borrowed} borrowed, {over_ceil} over ceil, {no_tokens} out of tokens"
+        );
     }
 }

@@ -1,39 +1,32 @@
 //! The compiled scheduling program: admission chains flattened out of the
 //! tree at build/reload time.
 //!
-//! [`SchedulingTree::schedule`] resolves every class of a label through the
-//! id → node hash index on every packet — seven-odd SipHash lookups per
-//! verdict. A [`CompiledProgram`] pays that resolution once, at *compile*
-//! time: each distinct [`QosLabel`] becomes one contiguous **admission
-//! chain** — an array of [`ChainStep`]s (node index, bucket slab index,
-//! condition template, parent link) in exact evaluation order. Steady
-//! flows then execute only the chain's token test-and-add sequence with
-//! zero tree traversal, fronted by the [`DecisionCache`] direct-mapped
-//! per-flow cache in the pipeline.
-//!
-//! The interpreted walker stays as the differential oracle — the same
-//! pattern as the calendar-vs-heap `QueueBackend` split: a property test
-//! (`tests/compiled_oracle.rs`) drives both on identical traffic and
-//! proves verdict-for-verdict identity across reconfigs, borrow
-//! transitions and expired-status removal.
+//! Algorithm 1 runs over **admission chains**: a label's classes resolved
+//! to [`ChainStep`]s (tree node, bucket slab index) in exact evaluation
+//! order — the path's guarded updates root→leaf, the leaf meter, the
+//! optional ceiling meter, then the lenders' shadow meters in label order.
+//! `LabelChain` is the one resolution routine. A [`CompiledProgram`]
+//! copies it into one shared step arena once per distinct [`QosLabel`] at
+//! compile time, so steady flows resolve a chain through the
+//! [`DecisionCache`] direct-mapped per-flow cache and execute only its
+//! token test-and-add sequence. [`SchedulingTree::schedule`] walks the
+//! label's chain directly; both run the same walk, so there is no second
+//! scheduler to keep in step.
 //!
 //! Under a modeled execution environment ([`SimExec`](crate::sched::SimExec))
-//! the chain reproduces the interpreted walker's charge sequence and lock
-//! interactions instruction for instruction, so every virtual-time figure
-//! is byte-identical whichever path produced it. The wall-clock win comes
-//! from the software side: no hashing, and — where the environment permits
-//! ([`Exec::elide_idle_updates`]) — no lock traffic for classes still
-//! inside their minimum update interval.
+//! every walk charges the same modeled operations and lock interactions,
+//! so every virtual-time figure is byte-identical whichever entry point
+//! produced it. The wall-clock win of the compiled entry is on the
+//! software side: no per-packet resolution, and — where the environment
+//! permits ([`Exec::elide_idle_updates`]) — no lock traffic for classes
+//! still inside their minimum update interval.
 
-use fv_audit::{NoObserver, StepKind, StepObserver, StepRecord};
-use np_sim::cost::Op;
-use sim_core::fixed::Tokens;
+use fv_audit::{NoObserver, StepObserver};
 use sim_core::time::Nanos;
 
-use crate::bucket::Color;
-use crate::label::QosLabel;
-use crate::sched::{Exec, LockKind, SchedVerdict};
-use crate::tree::SchedulingTree;
+use crate::label::{ClassId, QosLabel};
+use crate::sched::{Exec, SchedVerdict};
+use crate::tree::{Node, SchedulingTree};
 
 /// Identifier of one compiled admission chain within a [`CompiledProgram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,40 +39,136 @@ impl ChainId {
     }
 }
 
-/// Condition template of one [`ChainStep`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StepOp {
-    /// Guarded refresh of a path class's buckets (Subprocedure 1).
-    Update,
-    /// Wait-free meter on the leaf's own budget.
-    MeterLeaf,
-    /// Conformance check against the leaf's ceiling bucket.
-    MeterCeil,
-    /// Guarded shadow refresh + meter on one lender (Subprocedure 2).
-    Borrow,
-}
-
-/// Marks a chain step with no parent (the root of the path).
-pub(crate) const NO_PARENT: i32 = -1;
-
-/// One instruction of an admission chain: which node, which bucket in the
-/// tree's flat slab, which condition template, and the parent link (index
-/// of the parent class's step within the same chain).
+/// One instruction of an admission chain: which node, and which bucket in
+/// the tree's flat slab the step updates or meters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChainStep {
     pub(crate) node: u32,
     pub(crate) bucket: u32,
-    pub(crate) op: StepOp,
-    pub(crate) parent: i32,
+}
+
+/// An admission chain as the walk reads it, phase by phase. Two forms
+/// implement it: a compiled chain in a program's step arena
+/// ([`ChainView`]) and a label resolved through the tree as the walk
+/// reaches each step ([`LabelChain`]), which is also what compilation
+/// copies into the arena.
+pub(crate) trait Steps {
+    /// Guarded updates, root→leaf (lines 1-5).
+    fn path(&self) -> impl Iterator<Item = ChainStep> + '_;
+    /// The leaf's own budget meter (lines 6-8).
+    fn leaf(&self) -> ChainStep;
+    /// The leaf's ceiling meter, if the class is ceiled.
+    fn ceil(&self) -> Option<ChainStep>;
+    /// Lender shadow meters in label order (lines 9-15).
+    fn borrows(&self) -> impl Iterator<Item = ChainStep> + '_;
+}
+
+/// A label's admission chain, each step resolved through the tree's
+/// id → node table when it is read. The walk reads the path up to three
+/// times (update, touch, count), and resolving it each time costs less
+/// per packet than copying the chain out first (DESIGN.md §15).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LabelChain<'a> {
+    tree: &'a SchedulingTree,
+    label: &'a QosLabel,
+    leaf: usize,
+}
+
+impl<'a> LabelChain<'a> {
+    /// `label`'s chain in `tree`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the leaf is not in the tree, and while the chain is read
+    /// if any other class of the label is not.
+    #[inline]
+    pub(crate) fn new(tree: &'a SchedulingTree, label: &'a QosLabel) -> Self {
+        let leaf = tree.node_index(label.leaf()).expect("label leaf in tree");
+        LabelChain { tree, label, leaf }
+    }
+
+    #[inline]
+    fn step(&self, class: ClassId, bucket: impl Fn(&Node) -> u32) -> ChainStep {
+        let node = self.tree.node_index(class).expect("label class in tree");
+        ChainStep {
+            node: node as u32,
+            bucket: bucket(self.tree.node(node)),
+        }
+    }
+}
+
+impl Steps for LabelChain<'_> {
+    #[inline]
+    fn path(&self) -> impl Iterator<Item = ChainStep> + '_ {
+        self.label
+            .path()
+            .iter()
+            .map(|&c| self.step(c, |n| n.bucket))
+    }
+
+    #[inline]
+    fn leaf(&self) -> ChainStep {
+        ChainStep {
+            node: self.leaf as u32,
+            bucket: self.tree.node(self.leaf).bucket,
+        }
+    }
+
+    #[inline]
+    fn ceil(&self) -> Option<ChainStep> {
+        let bucket = self.tree.node(self.leaf).ceil_bucket?;
+        Some(ChainStep {
+            node: self.leaf as u32,
+            bucket,
+        })
+    }
+
+    #[inline]
+    fn borrows(&self) -> impl Iterator<Item = ChainStep> + '_ {
+        self.label
+            .borrow()
+            .iter()
+            .map(|&c| self.step(c, |n| n.shadow))
+    }
+}
+
+/// A compiled chain's steps in a program's arena, split into phases.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChainView<'a> {
+    path: &'a [ChainStep],
+    leaf: ChainStep,
+    ceil: Option<ChainStep>,
+    borrows: &'a [ChainStep],
+}
+
+impl Steps for ChainView<'_> {
+    #[inline]
+    fn path(&self) -> impl Iterator<Item = ChainStep> + '_ {
+        self.path.iter().copied()
+    }
+
+    #[inline]
+    fn leaf(&self) -> ChainStep {
+        self.leaf
+    }
+
+    #[inline]
+    fn ceil(&self) -> Option<ChainStep> {
+        self.ceil
+    }
+
+    #[inline]
+    fn borrows(&self) -> impl Iterator<Item = ChainStep> + '_ {
+        self.borrows.iter().copied()
+    }
 }
 
 /// Marks the end of a leaf's chain list in [`CompiledProgram::heads`].
 const NO_CHAIN: u32 = u32::MAX;
 
 /// One chain's extent inside the shared step arena. Layout within
-/// `start..`: `path_len` [`StepOp::Update`] steps root→leaf, one
-/// [`StepOp::MeterLeaf`], an optional [`StepOp::MeterCeil`], then
-/// `borrow_len` [`StepOp::Borrow`] steps in label order.
+/// `start..`: `path_len` update steps root→leaf, one leaf meter, an
+/// optional ceiling meter, then `borrow_len` lender steps in label order.
 #[derive(Debug, Clone, Copy)]
 struct Chain {
     start: u32,
@@ -111,14 +200,12 @@ pub struct CompiledProgram {
     steps: Vec<ChainStep>,
     chains: Vec<Chain>,
     heads: Vec<u32>,
-    compile_ops: u64,
 }
 
 impl CompiledProgram {
     /// Flattens `tree` into admission chains, one per distinct label.
     /// Labels referencing classes absent from the tree are skipped (they
-    /// resolve to `None` and the caller falls back to the interpreted
-    /// walker).
+    /// resolve to `None`).
     pub fn compile<'a>(
         tree: &SchedulingTree,
         labels: impl IntoIterator<Item = &'a QosLabel>,
@@ -127,7 +214,6 @@ impl CompiledProgram {
             steps: Vec::new(),
             chains: Vec::new(),
             heads: Vec::new(),
-            compile_ops: 0,
         };
         for label in labels {
             prog.add_chain(tree, label);
@@ -135,79 +221,31 @@ impl CompiledProgram {
         prog
     }
 
-    fn add_chain(&mut self, tree: &SchedulingTree, label: &QosLabel) -> Option<ChainId> {
-        if let Some(id) = self.resolve(label) {
-            return Some(id);
+    fn add_chain(&mut self, tree: &SchedulingTree, label: &QosLabel) {
+        let known = |c: &ClassId| tree.node_index(*c).is_some();
+        if self.resolve(label).is_some() || !label.path().iter().chain(label.borrow()).all(known) {
+            return;
         }
-        // Resolve every class up front; an unresolvable label compiles to
-        // nothing rather than a partial chain.
-        let path: Vec<usize> = label
-            .path()
-            .iter()
-            .map(|&cid| tree.node_index(cid))
-            .collect::<Option<_>>()?;
-        let lenders: Vec<usize> = label
-            .borrow()
-            .iter()
-            .map(|&cid| tree.node_index(cid))
-            .collect::<Option<_>>()?;
-
+        let chain = LabelChain::new(tree, label);
         let start = self.steps.len() as u32;
-        let mut parent = NO_PARENT;
-        for (i, &idx) in path.iter().enumerate() {
-            self.steps.push(ChainStep {
-                node: idx as u32,
-                bucket: tree.node(idx).bucket,
-                op: StepOp::Update,
-                parent,
-            });
-            parent = i as i32;
-        }
-        let leaf = *path.last().expect("labels are never empty");
-        let leaf_step = (path.len() - 1) as i32;
-        self.steps.push(ChainStep {
-            node: leaf as u32,
-            bucket: tree.node(leaf).bucket,
-            op: StepOp::MeterLeaf,
-            parent: leaf_step,
-        });
-        let has_ceil = match tree.node(leaf).ceil_bucket {
-            Some(ci) => {
-                self.steps.push(ChainStep {
-                    node: leaf as u32,
-                    bucket: ci,
-                    op: StepOp::MeterCeil,
-                    parent: leaf_step,
-                });
-                true
-            }
-            None => false,
-        };
-        for &lidx in &lenders {
-            self.steps.push(ChainStep {
-                node: lidx as u32,
-                bucket: tree.node(lidx).shadow,
-                op: StepOp::Borrow,
-                parent: leaf_step,
-            });
-        }
-
-        let id = ChainId(self.chains.len() as u32);
+        self.steps.extend(chain.path());
+        self.steps.push(chain.leaf());
+        self.steps.extend(chain.ceil());
+        self.steps.extend(chain.borrows());
+        let id = self.chains.len() as u32;
         let head = label.leaf().0 as usize;
         if head >= self.heads.len() {
             self.heads.resize(head + 1, NO_CHAIN);
         }
         self.chains.push(Chain {
             start,
-            path_len: path.len() as u8,
-            has_ceil,
-            borrow_len: lenders.len() as u8,
+            path_len: label.path().len() as u8,
+            has_ceil: chain.ceil().is_some(),
+            borrow_len: label.borrow().len() as u8,
             label: *label,
             next: self.heads[head],
         });
-        self.heads[head] = id.0;
-        self.compile_ops += (self.steps.len() as u32 - start) as u64;
-        Some(id)
+        self.heads[head] = id;
     }
 
     /// The chain compiled for `label`, if any: one direct-indexed load of
@@ -235,34 +273,29 @@ impl CompiledProgram {
     /// `Op::ProgramCompile` charge (compile work scales with chain steps,
     /// not packets).
     pub fn compile_ops(&self) -> u64 {
-        self.compile_ops
+        self.steps.len() as u64
     }
 
-    fn parts(&self, id: ChainId) -> (&[ChainStep], Option<&ChainStep>, &[ChainStep]) {
+    fn view(&self, id: ChainId) -> ChainView<'_> {
         let c = self.chains[id.0 as usize];
-        let start = c.start as usize;
-        let path_len = c.path_len as usize;
-        let updates = &self.steps[start..start + path_len];
-        let mut cursor = start + path_len + 1; // skip MeterLeaf
-        let ceil = if c.has_ceil {
-            cursor += 1;
-            Some(&self.steps[cursor - 1])
-        } else {
-            None
-        };
-        let borrows = &self.steps[cursor..cursor + c.borrow_len as usize];
-        (updates, ceil, borrows)
+        let steps = &self.steps[c.start as usize..];
+        let path = c.path_len as usize;
+        let borrows = path + 1 + c.has_ceil as usize;
+        ChainView {
+            path: &steps[..path],
+            leaf: steps[path],
+            ceil: c.has_ceil.then(|| steps[path + 1]),
+            borrows: &steps[borrows..borrows + c.borrow_len as usize],
+        }
     }
 }
 
 impl SchedulingTree {
     /// Runs the scheduling function for one packet through a compiled
-    /// admission chain. Verdicts, counter effects and — under a modeled
-    /// [`Exec`] — charge/lock sequences are identical to
-    /// [`SchedulingTree::schedule`] with the chain's label; the chain just
-    /// skips the per-packet id → node resolution (and, where
-    /// [`Exec::elide_idle_updates`] allows, the lock traffic of classes
-    /// inside their minimum update interval).
+    /// admission chain: [`SchedulingTree::schedule`] without the
+    /// per-packet label resolution. Verdicts, counter effects and — under
+    /// a modeled [`Exec`] — charge/lock sequences are identical to
+    /// `schedule` with the chain's label.
     ///
     /// # Panics
     ///
@@ -282,8 +315,7 @@ impl SchedulingTree {
 
     /// [`SchedulingTree::schedule_compiled`] with provenance capture: the
     /// same single walk, with `obs` told about every executed chain step
-    /// (bucket tokens before/after, token test color) and the verdict's
-    /// deciding step derivable from the step list. With
+    /// (bucket tokens before/after, token test color). With
     /// [`NoObserver`] (`O::ENABLED == false`) every capture branch is
     /// erased at monomorphization, which is how the production
     /// `schedule_compiled` wrapper keeps its cost.
@@ -296,153 +328,7 @@ impl SchedulingTree {
         exec: &mut E,
         obs: &mut O,
     ) -> SchedVerdict {
-        let (updates, ceil, borrows) = prog.parts(chain);
-        let need = Tokens::from_bits(bits);
-        let need_raw = need.raw() as i64;
-        let elide = exec.elide_idle_updates();
-        let stripe = exec.stripe();
-
-        // Lines 1-5: refresh token buckets root→leaf, then mark every
-        // class on the path touched (drives expiry).
-        for s in updates {
-            let before = if O::ENABLED {
-                self.slab_bucket(s.bucket).raw()
-            } else {
-                0
-            };
-            if !elide || self.update_due(s.node as usize, false, now) {
-                exec.charge(Op::LockOp);
-                exec.locked_update(self, s.node as usize, LockKind::Class, now);
-            }
-            exec.charge(Op::AtomicOp);
-            if O::ENABLED {
-                obs.on_step(StepRecord {
-                    stage: 0,
-                    kind: StepKind::Update,
-                    class: self.node(s.node as usize).spec.id.0,
-                    bucket: s.bucket,
-                    need: 0,
-                    before,
-                    after: self.slab_bucket(s.bucket).raw(),
-                    green: true,
-                });
-            }
-        }
-        for s in updates {
-            self.node(s.node as usize).touch(stripe, now.as_nanos());
-        }
-
-        // Lines 6-8: the leaf meter throttles the flow.
-        let leaf_step = updates.last().expect("chains have a path");
-        let leaf = self.node(leaf_step.node as usize);
-        exec.charge(Op::AtomicOp);
-        let lb = self.slab_bucket(leaf_step.bucket);
-        let leaf_before = if O::ENABLED { lb.raw() } else { 0 };
-        let leaf_green = exec.meter_bucket(self, leaf_step.bucket, need) == Color::Green;
-        if O::ENABLED {
-            obs.on_step(StepRecord {
-                stage: 0,
-                kind: StepKind::MeterLeaf,
-                class: leaf.spec.id.0,
-                bucket: leaf_step.bucket,
-                need: need_raw,
-                before: leaf_before,
-                after: lb.raw(),
-                green: leaf_green,
-            });
-        }
-        if leaf_green {
-            if let Some(cs) = ceil {
-                exec.charge(Op::AtomicOp);
-                let cb = self.slab_bucket(cs.bucket);
-                let before = if O::ENABLED { cb.raw() } else { 0 };
-                let green = exec.meter_bucket(self, cs.bucket, need) == Color::Green;
-                if O::ENABLED {
-                    obs.on_step(StepRecord {
-                        stage: 0,
-                        kind: StepKind::MeterCeil,
-                        class: leaf.spec.id.0,
-                        bucket: cs.bucket,
-                        need: need_raw,
-                        before,
-                        after: cb.raw(),
-                        green,
-                    });
-                }
-                if !green {
-                    leaf.add_dropped(stripe, 1);
-                    return SchedVerdict::Drop;
-                }
-            }
-            self.count_steps(updates, bits, stripe, exec);
-            leaf.add_forwarded(stripe, 1);
-            return SchedVerdict::Forward;
-        }
-
-        // Lines 9-15: borrowing, still bounded by the leaf's own ceiling.
-        if let Some(cs) = ceil {
-            exec.charge(Op::AtomicOp);
-            let cb = self.slab_bucket(cs.bucket);
-            let before = if O::ENABLED { cb.raw() } else { 0 };
-            let green = exec.meter_bucket(self, cs.bucket, need) == Color::Green;
-            if O::ENABLED {
-                obs.on_step(StepRecord {
-                    stage: 0,
-                    kind: StepKind::MeterCeil,
-                    class: leaf.spec.id.0,
-                    bucket: cs.bucket,
-                    need: need_raw,
-                    before,
-                    after: cb.raw(),
-                    green,
-                });
-            }
-            if !green {
-                leaf.add_dropped(stripe, 1);
-                return SchedVerdict::Drop;
-            }
-        }
-        for s in borrows {
-            if !elide || self.update_due(s.node as usize, true, now) {
-                exec.charge(Op::LockOp);
-                exec.locked_update(self, s.node as usize, LockKind::Shadow, now);
-            }
-            exec.charge(Op::AtomicOp);
-            let sb = self.slab_bucket(s.bucket);
-            let before = if O::ENABLED { sb.raw() } else { 0 };
-            let green = sb.meter(need) == Color::Green;
-            if O::ENABLED {
-                obs.on_step(StepRecord {
-                    stage: 0,
-                    kind: StepKind::Borrow,
-                    class: self.node(s.node as usize).spec.id.0,
-                    bucket: s.bucket,
-                    need: need_raw,
-                    before,
-                    after: sb.raw(),
-                    green,
-                });
-            }
-            if green {
-                let lnode = self.node(s.node as usize);
-                self.count_steps(updates, bits, stripe, exec);
-                lnode.add_lent(stripe, 1);
-                leaf.add_borrowed(stripe, 1);
-                return SchedVerdict::Borrowed(lnode.spec.id);
-            }
-        }
-
-        // Line 16.
-        leaf.add_dropped(stripe, 1);
-        SchedVerdict::Drop
-    }
-
-    /// `count_path` + `charge_path` over precompiled path steps.
-    fn count_steps<E: Exec>(&self, updates: &[ChainStep], bits: u64, stripe: usize, exec: &mut E) {
-        for s in updates {
-            self.node(s.node as usize).add_consumed(stripe, bits);
-            exec.charge(Op::AtomicOp);
-        }
+        self.walk(prog.view(chain), bits, now, exec, obs)
     }
 }
 
@@ -578,7 +464,6 @@ impl DecisionCache {
 mod tests {
     use super::*;
     use crate::label::ClassId;
-    use crate::sched::RealExec;
     use crate::tree::{ClassSpec, TreeParams};
     use sim_core::units::BitRate;
 
@@ -601,18 +486,43 @@ mod tests {
         let lb = t.label(ClassId(20), &[]).unwrap();
         let prog = CompiledProgram::compile(&t, [&la, &lb]);
         assert_eq!(prog.chains(), 2);
-        let (upd, ceil, bor) = prog.parts(prog.resolve(&la).unwrap());
-        assert_eq!(upd.len(), 2);
-        assert_eq!(upd[0].parent, NO_PARENT);
-        assert_eq!(upd[1].parent, 0);
-        assert!(ceil.is_none(), "a has no ceiling");
-        assert_eq!(bor.len(), 1);
-        assert_eq!(bor[0].op, StepOp::Borrow);
-        let (_, ceil_b, bor_b) = prog.parts(prog.resolve(&lb).unwrap());
-        assert!(ceil_b.is_some(), "b is ceiled");
-        assert!(bor_b.is_empty());
+        let [root, a, b] = [ClassId(1), ClassId(10), ClassId(20)].map(|c| t.node_index(c).unwrap());
+        let v = prog.view(prog.resolve(&la).unwrap());
+        let nodes = |steps: &[ChainStep]| steps.iter().map(|s| s.node as usize).collect::<Vec<_>>();
+        assert_eq!(nodes(v.path), [root, a]);
+        assert_eq!(v.leaf.bucket, t.node(a).bucket);
+        assert!(v.ceil.is_none(), "a has no ceiling");
+        assert_eq!(nodes(v.borrows), [b]);
+        assert_eq!(v.borrows[0].bucket, t.node(b).shadow);
+        let vb = prog.view(prog.resolve(&lb).unwrap());
+        assert_eq!(
+            vb.ceil.map(|s| s.bucket),
+            t.node(b).ceil_bucket,
+            "b is ceiled"
+        );
+        assert!(vb.borrows.is_empty());
         // Compile work is the flattened step total: (2+1+1) + (2+1+1).
         assert_eq!(prog.compile_ops(), 8);
+    }
+
+    /// A compiled chain reads back from the arena exactly as the label's
+    /// chain reads from the tree, phase by phase.
+    #[test]
+    fn compiled_chains_read_back_as_their_labels() {
+        let t = tree();
+        let labels = [
+            t.label(ClassId(10), &[ClassId(20), ClassId(1)]).unwrap(),
+            t.label(ClassId(20), &[ClassId(10)]).unwrap(),
+            t.label(ClassId(20), &[]).unwrap(),
+        ];
+        let prog = CompiledProgram::compile(&t, &labels);
+        for l in &labels {
+            let (lc, v) = (LabelChain::new(&t, l), prog.view(prog.resolve(l).unwrap()));
+            assert!(lc.path().eq(v.path()), "{l}");
+            assert_eq!(lc.leaf(), v.leaf(), "{l}");
+            assert_eq!(lc.ceil(), v.ceil(), "{l}");
+            assert!(lc.borrows().eq(v.borrows()), "{l}");
+        }
     }
 
     #[test]
@@ -658,32 +568,6 @@ mod tests {
         for l in compiled.iter().chain(&absent) {
             assert_eq!(prog.resolve(l), reference.get(l).copied(), "label {l}");
         }
-    }
-
-    #[test]
-    fn compiled_matches_interpreted_on_a_burst() {
-        let a = tree();
-        let b = tree();
-        let label = a.label(ClassId(10), &[ClassId(20)]).unwrap();
-        let prog = CompiledProgram::compile(&b, [&label]);
-        let chain = prog.resolve(&label).unwrap();
-        let mut now = Nanos::ZERO;
-        for i in 0..50_000u64 {
-            // ~12 Gbps offered against a 5 Gbps share: all verdict kinds.
-            now += Nanos::from_nanos(1_000);
-            let bits = 12_000 + (i % 3) * 1_500;
-            let vi = a.schedule(&label, bits, now, &mut RealExec);
-            let vc = b.schedule_compiled(&prog, chain, bits, now, &mut RealExec);
-            assert_eq!(vi, vc, "packet {i} diverged");
-        }
-        assert_eq!(
-            a.counters(ClassId(10)).unwrap(),
-            b.counters(ClassId(10)).unwrap()
-        );
-        assert_eq!(
-            a.counters(ClassId(20)).unwrap(),
-            b.counters(ClassId(20)).unwrap()
-        );
     }
 
     #[test]

@@ -26,6 +26,7 @@ use sim_core::time::Nanos;
 
 use crate::bucket::Color;
 use crate::label::{ClassId, QosLabel};
+use crate::program::{ChainStep, LabelChain, Steps};
 use crate::tree::SchedulingTree;
 
 /// Which guarded section a lock protects.
@@ -71,12 +72,12 @@ pub trait Exec {
         now: Nanos,
     ) -> bool;
 
-    /// Whether the compiled fast path may skip the guarded-update attempt
-    /// for a class still inside its minimum update interval. Within the
-    /// interval the update is a guaranteed no-op, so eliding it cannot
-    /// change verdicts or tree state — but modeled environments keep the
-    /// attempt because its try-lock and charge *are* the hardware cost
-    /// model, and eliding them would change every virtual-time figure.
+    /// Whether the walk may skip the guarded-update attempt for a class
+    /// still inside its minimum update interval. Within the interval the
+    /// update is a guaranteed no-op, so eliding it cannot change verdicts
+    /// or tree state — but modeled environments keep the attempt because
+    /// its try-lock and charge *are* the hardware cost model, and eliding
+    /// them would change every virtual-time figure.
     fn elide_idle_updates(&self) -> bool {
         false
     }
@@ -88,19 +89,6 @@ pub trait Exec {
     /// Merged totals are stripe-independent (see `NodeHot`).
     fn stripe(&self) -> usize {
         0
-    }
-
-    /// Meters `need` tokens against slab bucket `slot` of `tree`: the
-    /// leaf-budget and ceiling checks of the scheduling function route
-    /// through here. The default is the paper's wait-free test-and-add on
-    /// the shared bucket; a reserving environment
-    /// ([`ReservedExec`](crate::quantum::ReservedExec)) may serve the
-    /// charge from worker-local quantum credit instead, amortizing the
-    /// shared atomic. Shadow (borrow) meters never route through this
-    /// hook — lending tokens are contended by design.
-    #[inline]
-    fn meter_bucket(&mut self, tree: &SchedulingTree, slot: u32, need: Tokens) -> Color {
-        tree.slab_bucket(slot).meter(need)
     }
 }
 
@@ -253,14 +241,12 @@ impl SchedulingTree {
         self.schedule_observed(label, bits, now, exec, &mut NoObserver)
     }
 
-    /// [`SchedulingTree::schedule`] with provenance capture: the same
-    /// single walk, reporting every executed step (bucket tokens
-    /// before/after, token test color) to `obs`. Capture points mirror
-    /// [`SchedulingTree::schedule_compiled_observed`] exactly, so a
-    /// record taken here is byte-identical (in its canonical form) to one
-    /// taken on the compiled path for the same traffic — the
-    /// compiled-provenance oracle relies on that. With [`NoObserver`] all
-    /// capture branches compile away.
+    /// [`SchedulingTree::schedule`] with provenance capture, reporting
+    /// every executed step (bucket tokens before/after, token test color)
+    /// to `obs`. The label's admission chain runs through the same walk as
+    /// [`SchedulingTree::schedule_compiled_observed`], so records taken
+    /// either way are byte-identical. With [`NoObserver`] all capture
+    /// branches compile away.
     pub fn schedule_observed<E: Exec, O: StepObserver>(
         &self,
         label: &QosLabel,
@@ -269,146 +255,93 @@ impl SchedulingTree {
         exec: &mut E,
         obs: &mut O,
     ) -> SchedVerdict {
+        self.walk(LabelChain::new(self, label), bits, now, exec, obs)
+    }
+
+    /// Algorithm 1 over one resolved admission chain — the only
+    /// implementation of the scheduling function. Forced inline so each
+    /// entry point compiles to its own body: an out-of-line walk measured
+    /// about 5% slower on perfbench's `wire64_mice` (DESIGN.md §15).
+    #[inline(always)]
+    pub(crate) fn walk<E: Exec, O: StepObserver>(
+        &self,
+        chain: impl Steps,
+        bits: u64,
+        now: Nanos,
+        exec: &mut E,
+        obs: &mut O,
+    ) -> SchedVerdict {
         let need = Tokens::from_bits(bits);
-        let need_raw = need.raw() as i64;
         let elide = exec.elide_idle_updates();
         let stripe = exec.stripe();
 
-        // Lines 1-5: refresh token buckets root→leaf; every class on the
-        // path is marked as touched (drives expiry).
-        for &cid in label.path() {
-            let idx = self.node_index(cid).expect("label class in tree");
-            let bucket = self.node(idx).bucket;
+        // Lines 1-5: refresh token buckets root→leaf, then mark every
+        // class on the path touched (drives expiry).
+        for s in chain.path() {
             let before = if O::ENABLED {
-                self.slab_bucket(bucket).raw()
+                self.slab_bucket(s.bucket).raw()
             } else {
                 0
             };
-            if !elide || self.update_due(idx, false, now) {
+            if !elide || self.update_due(s.node as usize, false, now) {
                 exec.charge(Op::LockOp);
-                exec.locked_update(self, idx, LockKind::Class, now);
+                exec.locked_update(self, s.node as usize, LockKind::Class, now);
             }
             exec.charge(Op::AtomicOp);
             if O::ENABLED {
                 obs.on_step(StepRecord {
                     stage: 0,
                     kind: StepKind::Update,
-                    class: cid.0,
-                    bucket,
+                    class: self.node(s.node as usize).spec.id.0,
+                    bucket: s.bucket,
                     need: 0,
                     before,
-                    after: self.slab_bucket(bucket).raw(),
+                    after: self.slab_bucket(s.bucket).raw(),
                     green: true,
                 });
             }
         }
-        self.touch_path_at(label, now, stripe);
-
-        // Lines 6-8: the leaf meter throttles the flow.
-        let leaf_idx = self.node_index(label.leaf()).expect("leaf in tree");
-        let leaf = self.node(leaf_idx);
-        exec.charge(Op::AtomicOp);
-        let lb = self.slab_bucket(leaf.bucket);
-        let leaf_before = if O::ENABLED { lb.raw() } else { 0 };
-        let leaf_green = exec.meter_bucket(self, leaf.bucket, need) == Color::Green;
-        if O::ENABLED {
-            obs.on_step(StepRecord {
-                stage: 0,
-                kind: StepKind::MeterLeaf,
-                class: leaf.spec.id.0,
-                bucket: leaf.bucket,
-                need: need_raw,
-                before: leaf_before,
-                after: lb.raw(),
-                green: leaf_green,
-            });
+        for s in chain.path() {
+            self.node(s.node as usize).touch(stripe, now.as_nanos());
         }
-        if leaf_green {
-            // A configured ceiling bounds the class including borrowing,
-            // so every forwarded packet is also charged against it.
-            if let Some(ci) = leaf.ceil_bucket {
-                exec.charge(Op::AtomicOp);
-                let cb = self.slab_bucket(ci);
-                let before = if O::ENABLED { cb.raw() } else { 0 };
-                let green = exec.meter_bucket(self, ci, need) == Color::Green;
-                if O::ENABLED {
-                    obs.on_step(StepRecord {
-                        stage: 0,
-                        kind: StepKind::MeterCeil,
-                        class: leaf.spec.id.0,
-                        bucket: ci,
-                        need: need_raw,
-                        before,
-                        after: cb.raw(),
-                        green,
-                    });
-                }
-                if !green {
+
+        // Lines 6-8: the leaf meter throttles the flow. A configured
+        // ceiling bounds the class including borrowing, so every packet
+        // that passes — own budget or borrowed — is also charged against
+        // it.
+        let leaf = self.node(chain.leaf().node as usize);
+        if self.meter_step(chain.leaf(), StepKind::MeterLeaf, need, exec, obs) {
+            if let Some(c) = chain.ceil() {
+                if !self.meter_step(c, StepKind::MeterCeil, need, exec, obs) {
                     leaf.add_dropped(stripe, 1);
                     return SchedVerdict::Drop;
                 }
             }
-            self.count_path_at(label, bits, stripe);
-            exec.charge_path(label);
+            self.count_steps(chain.path(), bits, stripe, exec);
             leaf.add_forwarded(stripe, 1);
             return SchedVerdict::Forward;
         }
 
         // Lines 9-15: the borrowing subprocedure queries each lender's
-        // shadow bucket in label order. A borrowed packet must still
-        // conform to the leaf's own ceiling (HTB semantics: `ceil` bounds
-        // the class with borrowing included).
-        if let Some(ci) = leaf.ceil_bucket {
-            exec.charge(Op::AtomicOp);
-            let cb = self.slab_bucket(ci);
-            let before = if O::ENABLED { cb.raw() } else { 0 };
-            let green = exec.meter_bucket(self, ci, need) == Color::Green;
-            if O::ENABLED {
-                obs.on_step(StepRecord {
-                    stage: 0,
-                    kind: StepKind::MeterCeil,
-                    class: leaf.spec.id.0,
-                    bucket: ci,
-                    need: need_raw,
-                    before,
-                    after: cb.raw(),
-                    green,
-                });
-            }
-            if !green {
+        // shadow bucket in label order, still bounded by the leaf's own
+        // ceiling.
+        if let Some(c) = chain.ceil() {
+            if !self.meter_step(c, StepKind::MeterCeil, need, exec, obs) {
                 leaf.add_dropped(stripe, 1);
                 return SchedVerdict::Drop;
             }
         }
-        for &lender in label.borrow() {
-            let lidx = self.node_index(lender).expect("lender in tree");
-            if !elide || self.update_due(lidx, true, now) {
+        for s in chain.borrows() {
+            if !elide || self.update_due(s.node as usize, true, now) {
                 exec.charge(Op::LockOp);
-                exec.locked_update(self, lidx, LockKind::Shadow, now);
+                exec.locked_update(self, s.node as usize, LockKind::Shadow, now);
             }
-            exec.charge(Op::AtomicOp);
-            let lnode = self.node(lidx);
-            let sb = self.slab_bucket(lnode.shadow);
-            let before = if O::ENABLED { sb.raw() } else { 0 };
-            let green = sb.meter(need) == Color::Green;
-            if O::ENABLED {
-                obs.on_step(StepRecord {
-                    stage: 0,
-                    kind: StepKind::Borrow,
-                    class: lender.0,
-                    bucket: lnode.shadow,
-                    need: need_raw,
-                    before,
-                    after: sb.raw(),
-                    green,
-                });
-            }
-            if green {
-                self.count_path_at(label, bits, stripe);
-                exec.charge_path(label);
-                lnode.add_lent(stripe, 1);
+            if self.meter_step(s, StepKind::Borrow, need, exec, obs) {
+                let lender = self.node(s.node as usize);
+                self.count_steps(chain.path(), bits, stripe, exec);
+                lender.add_lent(stripe, 1);
                 leaf.add_borrowed(stripe, 1);
-                return SchedVerdict::Borrowed(lender);
+                return SchedVerdict::Borrowed(lender.spec.id);
             }
         }
 
@@ -417,157 +350,49 @@ impl SchedulingTree {
         SchedVerdict::Drop
     }
 
-    /// Runs the scheduling function for a *burst* of `count` same-class
-    /// packets of `bits` each, all processed at `now`, amortizing the
-    /// per-packet costs of [`SchedulingTree::schedule`]:
-    ///
-    /// * the root→leaf guarded updates and path touch run once per batch
-    ///   instead of once per packet;
-    /// * leaf, ceiling and shadow buckets are debited with one
-    ///   [`TokenBucket::grab`](crate::bucket::TokenBucket::grab) round-trip
-    ///   each instead of one meter per packet, with partial grants floored
-    ///   to whole packets and the remainder returned exactly.
-    ///
-    /// Single-threaded, the outcome totals are identical to calling
-    /// `schedule` `count` times at the same `now` (grabs grant exactly the
-    /// packets consecutive meters would have passed). Under contention the
-    /// batch is *coarser*: a losing grab reds the whole batch slice rather
-    /// than a single packet — the same conservative direction as the
-    /// test-and-add meter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label references classes not present in this tree.
-    pub fn schedule_batch<E: Exec>(
+    /// One wait-free token test-and-add on `step`'s bucket; true on green.
+    #[inline]
+    fn meter_step<E: Exec, O: StepObserver>(
         &self,
-        label: &QosLabel,
-        bits: u64,
-        count: u64,
-        now: Nanos,
+        step: ChainStep,
+        kind: StepKind,
+        need: Tokens,
         exec: &mut E,
-    ) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
-        if count == 0 {
-            return out;
-        }
-        let need_raw = Tokens::from_bits(bits).raw();
-        let elide = exec.elide_idle_updates();
-        let stripe = exec.stripe();
-
-        // Refresh token buckets root→leaf once for the whole burst.
-        for &cid in label.path() {
-            let idx = self.node_index(cid).expect("label class in tree");
-            if !elide || self.update_due(idx, false, now) {
-                exec.charge(Op::LockOp);
-                exec.locked_update(self, idx, LockKind::Class, now);
-            }
-            exec.charge(Op::AtomicOp);
-        }
-        self.touch_path_at(label, now, stripe);
-
-        let leaf_idx = self.node_index(label.leaf()).expect("leaf in tree");
-        let leaf = self.node(leaf_idx);
-
-        /// One whole-packet grab: how many of `want_pkts` packets the
-        /// bucket covers, returning the sub-packet remainder exactly.
-        fn grab_pkts(bucket: &crate::bucket::TokenBucket, need_raw: u64, want_pkts: u64) -> u64 {
-            if want_pkts == 0 || need_raw == 0 {
-                return want_pkts;
-            }
-            let granted = bucket.grab(Tokens::from_raw(need_raw * want_pkts));
-            let pkts = granted.raw() / need_raw;
-            let spare = granted.raw() - pkts * need_raw;
-            if spare > 0 {
-                bucket.put_back(Tokens::from_raw(spare));
-            }
-            pkts
-        }
-
-        // Leaf budget: one grab covers what consecutive meters would pass.
+        obs: &mut O,
+    ) -> bool {
         exec.charge(Op::AtomicOp);
-        let own = grab_pkts(self.slab_bucket(leaf.bucket), need_raw, count);
+        let b = self.slab_bucket(step.bucket);
+        let before = if O::ENABLED { b.raw() } else { 0 };
+        let green = b.meter(need) == Color::Green;
+        if O::ENABLED {
+            obs.on_step(StepRecord {
+                stage: 0,
+                kind,
+                class: self.node(step.node as usize).spec.id.0,
+                bucket: step.bucket,
+                need: need.raw() as i64,
+                before,
+                after: b.raw(),
+                green,
+            });
+        }
+        green
+    }
 
-        // The ceiling bounds the class with borrowing included, so every
-        // candidate (own-budget or borrowed) is charged against it; like
-        // the per-packet path, ceiling-refused packets do not restore
-        // already-consumed leaf tokens.
-        let (own_pass, mut borrow_budget) = match leaf.ceil_bucket {
-            Some(ci) => {
-                let cb = self.slab_bucket(ci);
-                exec.charge(Op::AtomicOp);
-                let own_pass = grab_pkts(cb, need_raw, own);
-                exec.charge(Op::AtomicOp);
-                let borrow_budget = grab_pkts(cb, need_raw, count - own);
-                (own_pass, borrow_budget)
-            }
-            None => (own, count - own),
-        };
-        out.forwarded = own_pass;
-
-        // Borrowing subprocedure: drain each lender's shadow bucket in
-        // label order, one grab per lender, until the burst is covered.
-        for &lender in label.borrow() {
-            if borrow_budget == 0 {
-                break;
-            }
-            let lidx = self.node_index(lender).expect("lender in tree");
-            if !elide || self.update_due(lidx, true, now) {
-                exec.charge(Op::LockOp);
-                exec.locked_update(self, lidx, LockKind::Shadow, now);
-            }
+    /// Records a passed packet's consumption along its path (Equation 3's
+    /// numerator; counted on *forwarding*, as the Γ definition requires —
+    /// counting offered packets would let an overloaded class's drops
+    /// poison its siblings' residual rates).
+    fn count_steps<E: Exec>(
+        &self,
+        path: impl Iterator<Item = ChainStep>,
+        bits: u64,
+        stripe: usize,
+        exec: &mut E,
+    ) {
+        for s in path {
+            self.node(s.node as usize).add_consumed(stripe, bits);
             exec.charge(Op::AtomicOp);
-            let lnode = self.node(lidx);
-            let got = grab_pkts(self.slab_bucket(lnode.shadow), need_raw, borrow_budget);
-            if got > 0 {
-                lnode.add_lent(stripe, got);
-                out.borrowed.push((lender, got));
-                borrow_budget -= got;
-            }
-        }
-
-        let borrowed_total: u64 = out.borrowed.iter().map(|(_, n)| n).sum();
-        out.dropped = count - own_pass - borrowed_total;
-        let passed = own_pass + borrowed_total;
-        if passed > 0 {
-            self.count_path_at(label, bits * passed, stripe);
-            exec.charge_path(label);
-        }
-        leaf.add_forwarded(stripe, own_pass);
-        leaf.add_borrowed(stripe, borrowed_total);
-        leaf.add_dropped(stripe, out.dropped);
-        out
-    }
-}
-
-/// Aggregate verdicts of one [`SchedulingTree::schedule_batch`] call.
-/// Every packet of the burst is accounted to exactly one bucket:
-/// `forwarded + borrowed + dropped == count`.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Packets forwarded from the leaf class's own budget.
-    pub forwarded: u64,
-    /// Packets forwarded by borrowing, per lender, in label order.
-    pub borrowed: Vec<(ClassId, u64)>,
-    /// Packets dropped (no budget anywhere).
-    pub dropped: u64,
-}
-
-impl BatchOutcome {
-    /// Total packets that passed (own budget or borrowed).
-    pub fn passed(&self) -> u64 {
-        self.forwarded + self.borrowed.iter().map(|(_, n)| n).sum::<u64>()
-    }
-}
-
-/// Blanket helper: charging the per-class consumption counters.
-pub(crate) trait ExecExt {
-    fn charge_path(&mut self, label: &QosLabel);
-}
-
-impl<E: Exec> ExecExt for E {
-    fn charge_path(&mut self, label: &QosLabel) {
-        for _ in label.path() {
-            self.charge(Op::AtomicOp);
         }
     }
 }
@@ -834,115 +659,5 @@ mod tests {
         assert!(total > 0);
         let c = tree.counters(ClassId(10)).unwrap();
         assert_eq!(c.forwarded + c.dropped, 40_000);
-    }
-
-    /// A warmed tree of two same-priority weighted siblings where the
-    /// lightly-loaded `a` lends through its shadow bucket, so batch tests
-    /// exercise forwarding, borrowing and dropping in one run. (A class
-    /// with lower-priority siblings lends nothing, so `tree_prio` cannot
-    /// exhibit borrowing.)
-    fn warmed_tree() -> SchedulingTree {
-        let tree = SchedulingTree::build(
-            vec![
-                ClassSpec::new(ClassId(1), "root", None).rate(gbps(10.0)),
-                ClassSpec::new(ClassId(10), "a", Some(ClassId(1))).weight(1),
-                ClassSpec::new(ClassId(20), "b", Some(ClassId(1))).weight(1),
-            ],
-            TreeParams::default(),
-        )
-        .unwrap();
-        let a = tree.label(ClassId(10), &[]).unwrap();
-        let mut exec = RealExec;
-        // Keep `a` active but far under its share right up to t = 100 us.
-        for i in 90..100u64 {
-            tree.schedule(&a, 12_000, Nanos::from_micros(i), &mut exec);
-        }
-        tree
-    }
-
-    #[test]
-    fn batch_matches_per_packet_totals() {
-        // Single-threaded and at one instant, a batch must produce exactly
-        // the verdict totals of the per-packet loop: the guarded updates
-        // are idempotent within min_update_interval, and a grab grants
-        // precisely the packets consecutive meters would have passed.
-        let now = Nanos::from_micros(100);
-        let n = 2_000u64;
-
-        let a = warmed_tree();
-        let la = a.label(ClassId(20), &[ClassId(10)]).unwrap();
-        let mut exec = RealExec;
-        let (mut fwd, mut bor, mut dropped) = (0u64, 0u64, 0u64);
-        for _ in 0..n {
-            match a.schedule(&la, 12_000, now, &mut exec) {
-                SchedVerdict::Forward => fwd += 1,
-                SchedVerdict::Borrowed(_) => bor += 1,
-                SchedVerdict::Drop => dropped += 1,
-            }
-        }
-
-        let b = warmed_tree();
-        let lb = b.label(ClassId(20), &[ClassId(10)]).unwrap();
-        let out = b.schedule_batch(&lb, 12_000, n, now, &mut RealExec);
-        assert_eq!(out.forwarded, fwd);
-        assert_eq!(out.passed() - out.forwarded, bor);
-        assert_eq!(out.dropped, dropped);
-        assert_eq!(out.passed() + out.dropped, n);
-        // The batch exercised all three outcomes, not a degenerate case.
-        assert!(fwd > 0 && bor > 0 && dropped > 0, "{fwd}/{bor}/{dropped}");
-        // Mirrored class counters match too.
-        let (ca, cb) = (
-            a.counters(ClassId(20)).unwrap(),
-            b.counters(ClassId(20)).unwrap(),
-        );
-        assert_eq!(ca.forwarded, cb.forwarded);
-        assert_eq!(ca.borrowed, cb.borrowed);
-        assert_eq!(ca.dropped, cb.dropped);
-    }
-
-    #[test]
-    fn batch_respects_ceiling() {
-        // lo guarantees 2 Gbps but is ceiled at 4 Gbps; a large burst at
-        // one instant passes at most ceil-bucket's worth of packets even
-        // though the parent has budget to lend.
-        let tree = SchedulingTree::build(
-            vec![
-                ClassSpec::new(ClassId(1), "root", None).rate(gbps(10.0)),
-                ClassSpec::new(ClassId(10), "hi", Some(ClassId(1))).prio(0),
-                ClassSpec::new(ClassId(20), "lo", Some(ClassId(1)))
-                    .prio(1)
-                    .rate(gbps(2.0))
-                    .ceil(gbps(4.0)),
-            ],
-            TreeParams::default(),
-        )
-        .unwrap();
-        let label = tree.label(ClassId(20), &[ClassId(10)]).unwrap();
-        let out = tree.schedule_batch(
-            &label,
-            12_000,
-            50_000,
-            Nanos::from_micros(100),
-            &mut RealExec,
-        );
-        let ceil_pkts = {
-            let idx = tree.node_index(ClassId(20)).unwrap();
-            let cb = tree.slab_bucket(tree.node(idx).ceil_bucket.unwrap());
-            // Whatever the ceiling accrued, passes cannot exceed it (the
-            // bucket is empty or holds only the sub-packet remainder now).
-            assert!(cb.level() < Tokens::from_bits(12_000));
-            out.passed()
-        };
-        assert!(ceil_pkts < 50_000, "ceiling did not bind");
-        assert_eq!(out.passed() + out.dropped, 50_000);
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let tree = warmed_tree();
-        let label = tree.label(ClassId(20), &[]).unwrap();
-        let out = tree.schedule_batch(&label, 12_000, 0, Nanos::from_micros(50), &mut RealExec);
-        assert_eq!(out, BatchOutcome::default());
-        assert_eq!(tree.counters(ClassId(20)).unwrap().forwarded, 0);
     }
 }

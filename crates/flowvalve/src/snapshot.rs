@@ -214,8 +214,8 @@ mod tests {
     }
 
     #[test]
-    fn capture_is_identical_under_interpreted_and_compiled_drivers() {
-        // Whatever drove the traffic — the interpreted walker or a compiled
+    fn capture_is_identical_under_reference_and_compiled_drivers() {
+        // Whatever drove the traffic — the reference walker or a compiled
         // admission chain — the observable snapshot (θ, Γ, counters,
         // activity) must come out identical, byte for byte in JSON.
         use crate::program::CompiledProgram;
@@ -230,7 +230,7 @@ mod tests {
         for i in 0..5_000u64 {
             now += Nanos::from_micros(2);
             let bits = 12_000 + (i % 3) * 1_500;
-            let vi = ti.schedule(&li, bits, now, &mut exec);
+            let vi = ti.schedule_reference(&li, bits, now, &mut exec, &mut fv_audit::NoObserver);
             let vc = tc.schedule_compiled(&prog, chain, bits, now, &mut exec);
             assert_eq!(vi, vc, "packet {i} diverged");
         }

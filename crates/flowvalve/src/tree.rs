@@ -34,7 +34,7 @@ use std::sync::Mutex;
 
 use crate::bucket::{AtomicRate, TokenBucket};
 use crate::error::BuildTreeError;
-use crate::label::{ClassId, QosLabel, MAX_DEPTH};
+use crate::label::{ClassId, QosLabel, MAX_BORROW, MAX_DEPTH};
 
 /// User-facing configuration of one traffic class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -634,11 +634,6 @@ impl SchedulingTree {
         &self.slab[i as usize]
     }
 
-    /// Number of buckets in the flat slab (bounds quantum-reserve flushes).
-    pub(crate) fn slab_len(&self) -> usize {
-        self.slab.len()
-    }
-
     /// A point-in-time snapshot of the whole bucket slab, attributed to
     /// owning classes, for the fv-audit conservation ledger. Raw levels
     /// (debt included) rather than clamped ones: an overfilled or leaking
@@ -705,7 +700,8 @@ impl SchedulingTree {
     /// # Errors
     ///
     /// Returns [`BuildTreeError::UnknownBorrowClass`] if `leaf` or any
-    /// lender is not in the tree.
+    /// lender is not in the tree, and [`BuildTreeError::TooManyLenders`]
+    /// if `borrow` names more than [`MAX_BORROW`] lenders.
     pub fn label(&self, leaf: ClassId, borrow: &[ClassId]) -> Result<QosLabel, BuildTreeError> {
         let mut idx = self
             .node_index(leaf)
@@ -720,6 +716,9 @@ impl SchedulingTree {
             if self.node_index(*b).is_none() {
                 return Err(BuildTreeError::UnknownBorrowClass(*b));
             }
+        }
+        if borrow.len() > MAX_BORROW {
+            return Err(BuildTreeError::TooManyLenders(leaf));
         }
         Ok(QosLabel::new(&path, borrow))
     }
@@ -882,28 +881,12 @@ impl SchedulingTree {
         true
     }
 
-    /// Records a forwarded packet's consumption along its class path
-    /// (Equation 3's numerator; counted on *forwarding*, as the Γ
-    /// definition requires — counting offered packets would let an
-    /// overloaded class's drops poison its siblings' residual rates).
-    ///
-    /// `stripe` is the worker's hot-state stripe (the
-    /// [`crate::sched::Exec::stripe`] hint), so concurrent workers never
-    /// share a consumption cache line; merged totals are stripe-agnostic.
-    pub(crate) fn count_path_at(&self, label: &QosLabel, bits: u64, stripe: usize) {
-        for cid in label.path() {
-            if let Some(i) = self.node_index(*cid) {
-                self.nodes[i].add_consumed(stripe, bits);
-            }
-        }
-    }
-
-    /// Reverses [`SchedulingTree::count_path_at`] for a packet that a
-    /// later chain stage dropped: without the refund, upstream Γs would
-    /// count bits that never reached the wire. The refund MUST use the
-    /// stripe of the count it reverses (refunds are issued by the same
-    /// worker that counted, so this holds naturally); a plain subtract is
-    /// then exact with no compare-exchange loop.
+    /// Reverses the consumption a passed packet counted along `label`'s
+    /// path when a later chain stage drops it: without the refund,
+    /// upstream Γs would count bits that never reached the wire. The
+    /// refund MUST use the stripe of the count it reverses (refunds are
+    /// issued by the same worker that counted, so this holds naturally);
+    /// a plain subtract is then exact with no compare-exchange loop.
     pub(crate) fn uncount_path_at(&self, label: &QosLabel, bits: u64, stripe: usize) {
         for cid in label.path() {
             if let Some(i) = self.node_index(*cid) {
@@ -923,25 +906,26 @@ impl SchedulingTree {
         }
     }
 
-    /// Marks every class on the path as recently touched (drives expiry).
+    /// Records a passed packet's consumption along `label`'s path on
+    /// `stripe` (the reference walker's and the rate tests' helper).
+    #[cfg(test)]
+    pub(crate) fn count_path_at(&self, label: &QosLabel, bits: u64, stripe: usize) {
+        for cid in label.path() {
+            if let Some(i) = self.node_index(*cid) {
+                self.nodes[i].add_consumed(stripe, bits);
+            }
+        }
+    }
+
+    /// Marks every class on `label`'s path as recently touched (drives
+    /// expiry) on `stripe`.
+    #[cfg(test)]
     pub(crate) fn touch_path_at(&self, label: &QosLabel, now: Nanos, stripe: usize) {
         for cid in label.path() {
             if let Some(i) = self.node_index(*cid) {
                 self.nodes[i].touch(stripe, now.as_nanos());
             }
         }
-    }
-
-    /// Stripe-0 [`SchedulingTree::count_path_at`] (test convenience).
-    #[cfg(test)]
-    pub(crate) fn count_path(&self, label: &QosLabel, bits: u64) {
-        self.count_path_at(label, bits, 0);
-    }
-
-    /// Stripe-0 [`SchedulingTree::touch_path_at`] (test convenience).
-    #[cfg(test)]
-    pub(crate) fn touch_path(&self, label: &QosLabel, now: Nanos) {
-        self.touch_path_at(label, now, 0);
     }
 
     /// The published token rate θ of a class, as a bandwidth.
@@ -1149,6 +1133,13 @@ mod tests {
             tree.label(ClassId(10), &[ClassId(99)]),
             Err(BuildTreeError::UnknownBorrowClass(_))
         ));
+        // A label holds at most MAX_BORROW lenders; repeats still count.
+        let lenders = [ClassId(10); MAX_BORROW + 1];
+        assert!(tree.label(ClassId(20), &lenders[..MAX_BORROW]).is_ok());
+        assert_eq!(
+            tree.label(ClassId(20), &lenders),
+            Err(BuildTreeError::TooManyLenders(ClassId(20)))
+        );
     }
 
     #[test]
@@ -1172,8 +1163,8 @@ mod tests {
         for _ in 0..200 {
             now += Nanos::from_micros(100);
             // hi forwards 700 kbit per 100 us = 7 Gbps.
-            tree.count_path(&label_hi, 700_000);
-            tree.touch_path(&label_hi, now);
+            tree.count_path_at(&label_hi, 700_000, 0);
+            tree.touch_path_at(&label_hi, now, 0);
             tree.update_node(hi, now);
             tree.update_node(lo, now);
         }
@@ -1194,8 +1185,8 @@ mod tests {
         let mut now = Nanos::ZERO;
         for _ in 0..50 {
             now += Nanos::from_micros(100);
-            tree.count_path(&label_hi, 700_000);
-            tree.touch_path(&label_hi, now);
+            tree.count_path_at(&label_hi, 700_000, 0);
+            tree.touch_path_at(&label_hi, now, 0);
             tree.update_node(hi, now);
         }
         assert!(tree.gamma(ClassId(10), now).unwrap().as_gbps() > 5.0);
@@ -1223,10 +1214,10 @@ mod tests {
         let mut now = Nanos::ZERO;
         for _ in 0..300 {
             now += Nanos::from_micros(100);
-            tree.count_path(&label_kvs, 600_000); // offers 6 Gbps
-            tree.count_path(&label_ml, 200_000); // ML takes its 2 Gbps
-            tree.touch_path(&label_kvs, now);
-            tree.touch_path(&label_ml, now);
+            tree.count_path_at(&label_kvs, 600_000, 0); // offers 6 Gbps
+            tree.count_path_at(&label_ml, 200_000, 0); // ML takes its 2 Gbps
+            tree.touch_path_at(&label_kvs, now, 0);
+            tree.touch_path_at(&label_ml, now, 0);
             tree.update_node(kvs, now);
             tree.update_node(ml, now);
         }
@@ -1258,10 +1249,10 @@ mod tests {
             // Both hungry: KVS forwards at its θ, ML at its θ.
             let kvs_theta = tree.theta(ClassId(10)).unwrap().as_bps();
             let ml_theta = tree.theta(ClassId(20)).unwrap().as_bps();
-            tree.count_path(&label_kvs, kvs_theta / 10_000); // bits per 100 us
-            tree.count_path(&label_ml, ml_theta / 10_000);
-            tree.touch_path(&label_kvs, now);
-            tree.touch_path(&label_ml, now);
+            tree.count_path_at(&label_kvs, kvs_theta / 10_000, 0); // bits per 100 us
+            tree.count_path_at(&label_ml, ml_theta / 10_000, 0);
+            tree.touch_path_at(&label_kvs, now, 0);
+            tree.touch_path_at(&label_ml, now, 0);
             tree.update_node(kvs, now);
             tree.update_node(ml, now);
         }
@@ -1299,8 +1290,8 @@ mod tests {
         let mut now = Nanos::ZERO;
         for _ in 0..10 {
             now += Nanos::from_micros(100);
-            tree.count_path(&label_a, 100_000);
-            tree.touch_path(&label_a, now);
+            tree.count_path_at(&label_a, 100_000, 0);
+            tree.touch_path_at(&label_a, now, 0);
             tree.update_node(a, now);
             tree.update_shadow(a, now);
         }
@@ -1318,7 +1309,7 @@ mod tests {
         let mut now = Nanos::ZERO;
         for _ in 0..10 {
             now += Nanos::from_micros(100);
-            tree.touch_path(&label_hi, now);
+            tree.touch_path_at(&label_hi, now, 0);
             tree.update_shadow(hi, now);
         }
         assert_eq!(tree.slab_bucket(tree.node(hi).shadow).level(), Tokens::ZERO);

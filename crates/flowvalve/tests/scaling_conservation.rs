@@ -1,4 +1,4 @@
-//! Multi-core conservation: striped hot state and quantum reservations
+//! Multi-core conservation: striped hot state and the shared bucket slab
 //! must never lose, mint, or misplace anything under real threads.
 //!
 //! Two invariants are hammered here with 8 worker threads on one shared
@@ -8,22 +8,19 @@
 //!   per thread ([`NodeHot`] in `tree.rs`); their merged totals must equal
 //!   the per-thread tallies exactly, whichever stripes the threads landed
 //!   on;
-//! * **token conservation** — [`ReservedExec`]'s per-worker quantum
-//!   credit amortizes the shared leaf-bucket atomics; after flushing every
-//!   reserve, the fv-audit [`Ledger`] must report zero violations (no
-//!   bucket above its burst) even though epoch rolls mid-run forced every
-//!   reserve through its return-and-regrab path.
+//! * **token conservation** — workers running compiled admission chains
+//!   meter and refill the shared bucket slab concurrently; the fv-audit
+//!   [`Ledger`] must report zero violations (no bucket above its burst)
+//!   even though epoch rolls kept refilling buckets mid-run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flowvalve::label::ClassId;
 use flowvalve::program::CompiledProgram;
-use flowvalve::quantum::ReservedExec;
 use flowvalve::sched::RealExec;
 use flowvalve::tree::{ClassSpec, SchedulingTree, TreeParams};
 use fv_audit::Ledger;
-use sim_core::fixed::Tokens;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -45,7 +42,7 @@ fn tree(leaves: usize) -> SchedulingTree {
 
 /// A shared monotone virtual clock: every packet advances it, so guarded
 /// updates keep coming due and the tree's epoch keeps rolling mid-run —
-/// the regime that forces quantum reserves to return and re-grab.
+/// the regime where refills race the meters.
 fn next_now(clock: &AtomicU64) -> Nanos {
     Nanos::from_nanos(clock.fetch_add(120, Ordering::Relaxed))
 }
@@ -103,7 +100,7 @@ fn striped_counters_conserve_verdicts_under_threads() {
 }
 
 #[test]
-fn reserved_runs_keep_the_ledger_green() {
+fn threaded_compiled_runs_keep_the_ledger_green() {
     let tree = Arc::new(tree(4));
     let labels: Vec<_> = (0..4u16)
         .map(|i| tree.label(ClassId(10 + i), &[]).unwrap())
@@ -120,9 +117,7 @@ fn reserved_runs_keep_the_ledger_green() {
                 let label = labels[k % 4];
                 s.spawn(move || {
                     let chain = prog.resolve(&label).unwrap();
-                    // Quantum of ~8 packets: several grabs per epoch, so
-                    // both the amortized and the regrab paths run.
-                    let mut exec = ReservedExec::new(Tokens::from_bits(8 * WIRE_BITS));
+                    let mut exec = RealExec;
                     let mut admitted = 0u64;
                     for _ in 0..PKTS_PER_THREAD {
                         let now = next_now(&clock);
@@ -133,14 +128,6 @@ fn reserved_runs_keep_the_ledger_green() {
                             admitted += 1;
                         }
                     }
-                    // Retiring worker: return every outstanding quantum.
-                    exec.reserve.flush(&tree);
-                    let (grabs, meters) = exec.reserve.stats();
-                    assert!(
-                        grabs < meters,
-                        "reservation must amortize shared grabs: {grabs}/{meters}"
-                    );
-                    assert_eq!(exec.reserve.outstanding(), 0, "flush left credit behind");
                     admitted
                 })
             })
@@ -149,20 +136,19 @@ fn reserved_runs_keep_the_ledger_green() {
     });
 
     // Epoch rolls actually happened (the clock swept many update
-    // intervals), so reserves exercised the return-and-regrab path.
+    // intervals), so refills raced the meters.
     assert!(tree.epoch() > 10, "epoch barely moved: {}", tree.epoch());
     assert!(admitted > 0, "nothing admitted — workload is vacuous");
 
-    // Token conservation: no bucket may exceed its burst after all
-    // outstanding quanta were returned.
+    // Token conservation: no bucket may exceed its burst.
     let report = Ledger::audit(&[], &tree.slab_snapshot());
     assert!(
         report.violations.is_empty(),
-        "conservation violations after reserved run: {:?}",
+        "conservation violations after threaded run: {:?}",
         report.violations
     );
 
-    // Counter conservation holds on the reserved path too.
+    // Counter conservation holds on the compiled path too.
     let total: u64 = (0..4u16)
         .map(|i| {
             let c = tree.counters(ClassId(10 + i)).unwrap();

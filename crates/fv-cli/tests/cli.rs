@@ -116,6 +116,25 @@ fn out_of_range_rates_are_policy_errors_not_panics() {
 }
 
 #[test]
+fn too_many_lenders_is_a_policy_error_not_a_panic() {
+    let f = write_script(&format!(
+        "{GOOD}fv class add dev nic0 parent 1:1 classid 1:30 name x prio 1\n\
+         fv filter add dev nic0 match vf 3 flowid 1:30 \
+         borrow 1:10,1:20,1:1,1:10,1:20,1:1,1:10,1:20,1:1\n"
+    ));
+    for cmd in ["check", "show", "demo"] {
+        let out = fv().arg(cmd).arg(&f.path).output().expect("fv runs");
+        assert_ne!(out.status.code(), Some(101), "fv {cmd} panicked");
+        assert!(!out.status.success(), "fv {cmd} accepted the policy");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("class 1:30 borrows from more than 8 lender classes"),
+            "fv {cmd} stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn reads_from_stdin() {
     let mut child = fv()
         .args(["check", "-"])

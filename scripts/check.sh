@@ -128,6 +128,24 @@ if cargo run --release -q -p fv-cli -- audit scripts/motivation.fv \
 fi
 echo "why/audit ok: deterministic explain, demo+chaos conserve, mischarge caught"
 
+echo "==> perfbench smoke (its own workspace: builds against the current crates)"
+# `cargo build --workspace` never compiles perfbench, so an API change it
+# depends on would otherwise go unnoticed. One short run per workload;
+# the last stdout line is the run's JSON result, and its correctness
+# checks (outcome pins, determinism, conservation) must all hold.
+for workload in demo_mix tcp_fairq wire64_mice; do
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1 \
+        | python3 -c '
+import json, sys
+name = sys.argv[1]
+doc = json.loads(sys.stdin.read())
+assert doc["correct"] is True and doc["failed"] == 0, f"{name}: {doc}"
+attempted = doc["attempted"]
+print(f"perfbench {name} ok: {attempted} packets, 0 failed")
+' "$workload"
+done
+
 echo "==> scaling smoke (multi-core aggregate speedup gate)"
 # Machine-aware: asserts >= 2x aggregate throughput at 4 threads on hosts
 # with >= 4 CPUs (FV_SCALING_FULL=1 adds the >= 3x @ 8 threads full
