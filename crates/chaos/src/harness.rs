@@ -1,30 +1,34 @@
-//! The resilience harness: the `fv demo` saturation workload, faulted.
+//! The saturation driver behind every `fv` report, and the resilience
+//! harness built on it.
 //!
-//! [`run_chaos`] drives the exact workload `fv demo`/`fv check` runs — one
-//! TCP flow per filter, each offered an equal slice of 1.5x line rate for
-//! 10 ms on the Agilio CX 40G model — but with a [`ChaosController`]
-//! installed at every hook point: the NIC's traffic manager, worker pool
-//! and lock table, the FlowValve scheduler clock, and the host boundary.
-//! `reconfig` faults additionally hot-reload the policy mid-run with every
-//! rate scaled, restoring the original when the window closes.
+//! [`run_saturation`] replays the paper's saturation setup: one TCP flow
+//! per filter, each offered an equal slice of 1.5x line rate for 10 ms on
+//! the Agilio CX 40G model. `fv demo`, `stats`, `check`, `trace`,
+//! `timeseries`, `profile`, `top`, `why`, `audit` and `fv chaos` all run
+//! it; they differ only in their [`RunOptions`]. With a [`FaultPlan`] the
+//! run is faulted: a [`ChaosController`] answers every
+//! [`np_sim::FaultInjector`] hook (the NIC's traffic manager, worker pool
+//! and lock table, the FlowValve scheduler clock, and the host side the
+//! driver itself plays), and `reconfig` faults hot-reload the policy
+//! mid-run with every rate scaled, restoring the original when the window
+//! closes.
 //!
-//! After the run, one [`fv_scope::Slo::RateRecovers`] assertion per
-//! completed fault window checks that aggregate NIC throughput returned to
-//! the root rate's conformance band — the paper's pitch is that the
-//! offloaded scheduler keeps shaping through disturbance, and this is
-//! where that claim is pinned.
+//! [`run_chaos`] drives a faulted run, then judges it: one
+//! [`fv_scope::Slo::RateRecovers`] assertion per completed fault window
+//! checks that aggregate NIC throughput returned to the root rate's
+//! conformance band — the paper's pitch is that the offloaded scheduler
+//! keeps shaping through disturbance, and this is where that claim is
+//! pinned.
 
 use std::sync::Arc;
 
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
-use flowvalve::tree::TreeParams;
-use fv_audit::{BucketSnapshot, ProvenanceRing, Sampler};
+use flowvalve::tree::{SchedulingTree, TreeParams};
+use fv_audit::{BucketSnapshot, Ledger, ProvenanceRing, Sampler};
 use fv_scope::{evaluate, CheckReport, SamplerConfig, Slo, TimeSampler};
 use fv_telemetry::json::{JsonValue, ToJson};
-use fv_telemetry::SpanSink;
-use fv_telemetry::{Registry, Snapshot};
-use hostsim::HostChaosHook;
+use fv_telemetry::{Registry, Snapshot, SpanSink};
 use netstack::flow::FlowKey;
 use netstack::gen::{ArrivalProcess, LineRateProcess};
 use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
@@ -32,6 +36,7 @@ use np_sim::config::NicConfig;
 use np_sim::cost::CycleAttr;
 use np_sim::lock::PerLockStats;
 use np_sim::nic::SmartNic;
+use np_sim::FaultInjector;
 use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
@@ -162,87 +167,98 @@ fn scale_policy(policy: &Policy, permille: u64) -> Policy {
     scaled
 }
 
-/// Runs the saturation workload under `plan` and judges recovery.
+/// Provenance-ring slots for an audited run; at the CLI's 1-in-64
+/// sampling this retains a lossless window of 262144 packet ids, several
+/// times the 10 ms run's packet count.
+const AUDIT_RING_CAPACITY: usize = 4096;
+
+/// What a saturation run attaches beyond the policy itself.
+pub struct RunOptions {
+    /// Faults to inject. `None` installs no controller, registers no
+    /// fault counters and seeds the workload with 1; a plan seeds it with
+    /// [`FaultPlan::seed`].
+    pub plan: Option<FaultPlan>,
+    /// Event-ring capacity of the run's registry.
+    pub ring_capacity: usize,
+    /// Attach a virtual-time sampler with this configuration.
+    pub sampler: Option<SamplerConfig>,
+    /// Attribution probes: `CycleAttr` receives every cycle charge
+    /// (stage × op × worker) and the sink every span stamp and
+    /// classification verdict. Both are observers — the packet-level
+    /// outcome is identical with or without them.
+    pub probes: Option<(Arc<CycleAttr>, Arc<dyn SpanSink>)>,
+    /// Sampled provenance capture, 1 packet id in 2^shift. After the run
+    /// the records are folded through the conservation ledger into
+    /// `audit.*` counters. An observer too.
+    pub audit: Option<u32>,
+}
+
+impl RunOptions {
+    /// `fv chaos`'s configuration: `plan`, a 4096-slot event ring and a
+    /// 100 µs sampler (fine enough to resolve a recovery window), no
+    /// probes and no provenance capture.
+    pub fn chaos(plan: FaultPlan) -> RunOptions {
+        RunOptions {
+            plan: Some(plan),
+            ring_capacity: 4096,
+            sampler: Some(SamplerConfig::default().with_interval(Nanos::from_micros(100))),
+            probes: None,
+            audit: None,
+        }
+    }
+}
+
+/// Everything a saturation run leaves for the reports built on it.
+#[derive(Debug)]
+pub struct SaturationRun {
+    /// The plan the run executed, if any.
+    pub plan: Option<FaultPlan>,
+    /// Simulated run length.
+    pub horizon: Nanos,
+    /// The scheduling tree as compiled before the run (a `reconfig`
+    /// fault reloads the pipeline, not this copy).
+    pub tree: Arc<SchedulingTree>,
+    /// The driven flows, one per filter in filter order.
+    pub flows: Vec<FlowKey>,
+    /// Rate each flow was offered.
+    pub offered: BitRate,
+    /// The run's registry, for its event ring.
+    pub registry: Registry,
+    /// End-of-run registry snapshot.
+    pub snapshot: Snapshot,
+    /// The sampler, when [`RunOptions::sampler`] asked for one.
+    pub sampler: Option<TimeSampler>,
+    /// Per-lock contention rows.
+    pub per_lock: Vec<PerLockStats>,
+    /// End-of-run bucket-slab snapshot.
+    pub slab: Vec<BucketSnapshot>,
+    /// The provenance ring, when [`RunOptions::audit`] asked for one.
+    pub provenance: Option<Arc<ProvenanceRing>>,
+}
+
+/// The driver always runs the FlowValve pipeline.
+fn pipeline(nic: &mut SmartNic) -> &mut FlowValvePipeline {
+    nic.decider_as::<FlowValvePipeline>()
+        .expect("the saturation driver runs the FlowValve pipeline")
+}
+
+/// Saturates every filtered class with an equal share of 1.5x line rate
+/// for 10 ms of simulated time, with full telemetry attached.
 ///
-/// Deterministic: the same `(policy, plan)` pair produces a byte-identical
-/// [`ChaosReport::to_json`] document on every run.
+/// Deterministic: the same `(policy, options)` pair produces the same
+/// snapshot, trace ring and sampler frames on every run.
 ///
 /// # Errors
 ///
 /// Returns a message when the policy has no filters to drive or fails to
 /// compile (including a mid-run `reconfig` compile failure, which aborts
 /// rather than silently continuing unfaulted).
-pub fn run_chaos(policy: &Policy, plan: &FaultPlan) -> Result<ChaosReport, String> {
-    run_chaos_probed(policy, plan, None, None)
-}
-
-/// [`run_chaos_probed`] with sampled provenance capture attached: the
-/// pipeline records every sampler-selected decision into `ring`, and the
-/// report carries the end-of-run bucket-slab snapshot so `fv audit
-/// --plan` can run the conservation ledger over a faulted run. The
-/// capture is an observer — the packet-level outcome is unchanged.
-pub fn run_chaos_audited(
-    policy: &Policy,
-    plan: &FaultPlan,
-    attr: Option<Arc<CycleAttr>>,
-    sink: Option<Arc<dyn SpanSink>>,
-    audit: Option<(Arc<ProvenanceRing>, Sampler)>,
-) -> Result<ChaosReport, String> {
-    run_chaos_inner(policy, plan, attr, sink, audit)
-}
-
-/// [`run_chaos`] with attribution probes attached: `attr` receives every
-/// cycle charge (stage × op × worker) and `sink` every span stamp and
-/// classification verdict. Both are observers — the packet-level outcome
-/// of the run is identical with or without them, so a probed run still
-/// replays byte-identically.
-pub fn run_chaos_probed(
-    policy: &Policy,
-    plan: &FaultPlan,
-    attr: Option<Arc<CycleAttr>>,
-    sink: Option<Arc<dyn SpanSink>>,
-) -> Result<ChaosReport, String> {
-    run_chaos_inner(policy, plan, attr, sink, None)
-}
-
-fn run_chaos_inner(
-    policy: &Policy,
-    plan: &FaultPlan,
-    attr: Option<Arc<CycleAttr>>,
-    sink: Option<Arc<dyn SpanSink>>,
-    audit: Option<(Arc<ProvenanceRing>, Sampler)>,
-) -> Result<ChaosReport, String> {
+pub fn run_saturation(policy: &Policy, opts: RunOptions) -> Result<SaturationRun, String> {
     let cfg = NicConfig::agilio_cx_40g();
-    let mut pipeline = FlowValvePipeline::compile(policy, TreeParams::default(), &cfg)
+    let mut pipe = FlowValvePipeline::compile(policy, TreeParams::default(), &cfg)
         .map_err(|e| e.to_string())?;
-    let tree = pipeline.tree().clone();
-    let line = cfg.line_rate;
-    let framing = cfg.framing;
-
-    let registry = Registry::with_ring_capacity(4096);
-    if let Some(sink) = sink {
-        registry.install_span_sink(sink);
-    }
-    let controller = Arc::new(ChaosController::new(plan.clone(), &registry));
-    let host_skipped = registry.counter("chaos.host_skipped");
-    pipeline.install_chaos_hook(controller.clone());
-    let mut nic = SmartNic::with_registry(cfg.clone(), Box::new(pipeline), &registry);
-    if let Some(attr) = attr {
-        nic.attach_probe(attr);
-    }
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.attach_telemetry(&registry);
-        if let Some((ring, sampler)) = &audit {
-            p.attach_auditor(ring.clone(), *sampler);
-        }
-    }
-    nic.install_fault_injector(controller.clone());
-    let mut sampler = TimeSampler::new(
-        &registry,
-        SamplerConfig::default().with_interval(Nanos::from_micros(100)),
-    );
-
-    // One flow per filter, exactly as `fv demo` builds them.
+    let tree = pipe.tree().clone();
+    // One flow per filter, matched as precisely as the filter allows.
     let mut flows: Vec<(FlowKey, VfPort)> = Vec::new();
     for (i, f) in policy.filters.iter().enumerate() {
         let m = &f.matcher;
@@ -258,19 +274,42 @@ fn run_chaos_inner(
         return Err("no filters to drive".into());
     }
 
+    let registry = Registry::with_ring_capacity(opts.ring_capacity);
+    // Under a plan, one controller answers every fault hook.
+    let chaos = opts.plan.as_ref().map(|plan| {
+        let controller = Arc::new(ChaosController::new(plan.clone(), &registry));
+        pipe.install_chaos_hook(controller.clone());
+        (controller, registry.counter("chaos.host_skipped"))
+    });
+    let mut nic = SmartNic::with_registry(cfg.clone(), Box::new(pipe), &registry);
+    pipeline(&mut nic).attach_telemetry(&registry);
+    let provenance = opts.audit.map(|shift| {
+        let ring = Arc::new(ProvenanceRing::sampled(AUDIT_RING_CAPACITY, shift));
+        pipeline(&mut nic).attach_auditor(ring.clone(), Sampler::one_in_pow2(shift));
+        ring
+    });
+    if let Some((attr, sink)) = opts.probes {
+        nic.attach_probe(attr);
+        registry.install_span_sink(sink);
+    }
+    if let Some((controller, _)) = &chaos {
+        nic.install_fault_injector(controller.clone());
+    }
+    let mut sampler = opts.sampler.map(|cfg| TimeSampler::new(&registry, cfg));
+
     let horizon = Nanos::from_millis(10);
-    let mut rng = SimRng::seed(plan.seed);
+    let mut rng = SimRng::seed(opts.plan.as_ref().map_or(1, |p| p.seed));
     let mut ids = PacketIdGen::new();
-    let offered = line.scaled(3, 2 * flows.len() as u64);
+    // Collectively oversubscribed, so the policy has something to decide.
+    let offered = cfg.line_rate.scaled(3, 2 * flows.len() as u64);
     let mut gens: Vec<LineRateProcess> = flows
         .iter()
-        .map(|_| LineRateProcess::new(offered, 1518, framing))
+        .map(|_| LineRateProcess::new(offered, 1518, cfg.framing))
         .collect();
     let mut next: Vec<Nanos> = gens
         .iter_mut()
         .map(|g| Nanos::ZERO + g.next_arrival(&mut rng).0)
         .collect();
-
     // `reconfig` faults hot-reload the policy; track the applied scale so
     // each window reloads exactly once on entry and once on exit.
     let mut applied_scale: Option<u64> = None;
@@ -284,49 +323,91 @@ fn run_chaos_inner(
         if t >= horizon {
             break;
         }
-        sampler.advance_to(t);
-        controller.note_transitions(t);
-
-        let want_scale = plan.reconfig_scale_at(t);
-        if want_scale != applied_scale {
-            let target = match want_scale {
-                Some(p) => scale_policy(policy, p),
-                None => policy.clone(),
-            };
-            let p = nic
-                .decider_as::<FlowValvePipeline>()
-                .expect("chaos harness always runs the FlowValve pipeline");
-            p.reload(&target, TreeParams::default(), &cfg)
-                .map_err(|e| format!("reconfig fault failed to compile: {e}"))?;
-            applied_scale = want_scale;
+        if let Some(s) = sampler.as_mut() {
+            s.advance_to(t);
         }
-
         let (flow, vf) = flows[idx];
         let app = AppId(idx as u16);
-        // Host-side faults act before the NIC ever sees the frame: a
-        // paused app offers nothing, a reset VF's frames die at the edge.
-        let host_blocked =
-            controller.app_paused_until(app, t).is_some() || controller.vf_down(vf, t);
-        if host_blocked {
-            ids.next_id(); // keep the packet-id stream identical either way
-            host_skipped.incr(0);
-        } else {
-            let pkt = Packet::new(ids.next_id(), flow, 1518, app, vf, t);
-            let _ = nic.rx(&pkt, t);
+        // Drawn either way, so the packet-id stream is the same whether or
+        // not a host fault swallows the frame.
+        let id = ids.next_id();
+        let mut blocked = false;
+        if let Some((controller, host_skipped)) = &chaos {
+            controller.note_transitions(t);
+            let want_scale = controller.plan().reconfig_scale_at(t);
+            if want_scale != applied_scale {
+                let target = want_scale.map_or_else(|| policy.clone(), |p| scale_policy(policy, p));
+                pipeline(&mut nic)
+                    .reload(&target, TreeParams::default(), &cfg)
+                    .map_err(|e| format!("reconfig fault failed to compile: {e}"))?;
+                applied_scale = want_scale;
+            }
+            // Host-side faults act before the NIC ever sees the frame: a
+            // paused app offers nothing, a reset VF's frames die at the edge.
+            blocked = controller.app_paused_until(app, t).is_some() || controller.vf_down(vf, t);
+            if blocked {
+                host_skipped.incr(0);
+            }
+        }
+        if !blocked {
+            let _ = nic.rx(&Packet::new(id, flow, 1518, app, vf, t), t);
         }
         next[idx] = t + gens[idx].next_arrival(&mut rng).0;
     }
-    sampler.advance_to(horizon);
-    controller.note_transitions(horizon);
-    nic.sync_gauges(horizon);
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.sync_gauges(horizon);
+    if let Some(s) = sampler.as_mut() {
+        s.advance_to(horizon);
     }
-    // How much is still queued on the wire when the run ends — after the
-    // last fault clears this should have drained back to (near) zero.
-    registry
-        .gauge("chaos.tm_backlog_bytes")
-        .set(nic.tm_backlog_bytes(horizon));
+    if let Some((controller, _)) = &chaos {
+        controller.note_transitions(horizon);
+    }
+
+    // Publish cold-path gauges (per-engine utilization, θ/Γ) and capture.
+    nic.sync_gauges(horizon);
+    pipeline(&mut nic).sync_gauges(horizon);
+    if chaos.is_some() {
+        // How much is still queued on the wire when the run ends — after
+        // the last fault clears this should have drained back to (near)
+        // zero.
+        registry
+            .gauge("chaos.tm_backlog_bytes")
+            .set(nic.tm_backlog_bytes(horizon));
+    }
+    let slab = pipeline(&mut nic).tree().slab_snapshot();
+    // Fold the sampled provenance through the conservation ledger before
+    // the snapshot, so `audit.*` counters are part of it.
+    if let Some(ring) = &provenance {
+        Ledger::audit(&ring.records(), &slab).install_counters(&registry, 0);
+    }
+    Ok(SaturationRun {
+        plan: opts.plan,
+        horizon,
+        tree,
+        flows: flows.into_iter().map(|(flow, _)| flow).collect(),
+        offered,
+        snapshot: registry.snapshot(horizon),
+        registry,
+        sampler,
+        per_lock: nic.per_lock_stats().to_vec(),
+        slab,
+        provenance,
+    })
+}
+
+/// Drives a run under `opts.plan` and judges recovery.
+///
+/// Deterministic: the same `(policy, options)` pair produces a
+/// byte-identical [`ChaosReport::to_json`] document on every run.
+///
+/// # Errors
+///
+/// Returns [`run_saturation`]'s errors, and a message when `opts`
+/// carries no plan or no sampler (recovery is judged on sampled rates).
+pub fn run_chaos(policy: &Policy, opts: RunOptions) -> Result<ChaosReport, String> {
+    let run = run_saturation(policy, opts)?;
+    let (Some(plan), Some(sampler)) = (run.plan, run.sampler) else {
+        return Err("a chaos run needs a fault plan and a sampler".into());
+    };
+    let (horizon, tree, snapshot) = (run.horizon, run.tree, run.snapshot);
 
     // One recovery assertion per fault window that ends early enough to
     // observe a post-settle window: aggregate throughput back in the root
@@ -364,22 +445,17 @@ fn run_chaos_inner(
         }
     }
 
-    let slab = nic
-        .decider_as::<FlowValvePipeline>()
-        .map(|p| p.tree().slab_snapshot())
-        .unwrap_or_default();
-    let snapshot = registry.snapshot(horizon);
     let recovery = evaluate(&slos, &sampler, &snapshot, (Nanos::ZERO, horizon));
     Ok(ChaosReport {
-        plan: plan.clone(),
+        plan,
         horizon,
-        flows: flows.len(),
+        flows: run.flows.len(),
         snapshot,
         sampler,
         recovery,
         unchecked,
-        per_lock: nic.per_lock_stats().to_vec(),
-        slab,
+        per_lock: run.per_lock,
+        slab: run.slab,
     })
 }
 
@@ -404,7 +480,7 @@ mod tests {
             seed: 1,
             ..FaultPlan::default()
         };
-        let report = run_chaos(&policy, &plan).unwrap();
+        let report = run_chaos(&policy, RunOptions::chaos(plan)).unwrap();
         assert!(report.passed(), "{}", report.render());
         assert_eq!(report.snapshot.counter("chaos.faults_injected"), 0);
         assert_eq!(report.snapshot.counter("tm.fifo.fault_drops"), 0);
@@ -421,7 +497,7 @@ mod tests {
              chaos fault wire_flap at 3ms for 2ms permille 250\n",
         )
         .unwrap();
-        let report = run_chaos(&policy, &plan).unwrap();
+        let report = run_chaos(&policy, RunOptions::chaos(plan)).unwrap();
         assert_eq!(report.snapshot.counter("chaos.faults_injected"), 1);
         assert_eq!(report.snapshot.counter("chaos.faults_cleared"), 1);
         assert!(report.passed(), "{}", report.render());
@@ -432,7 +508,7 @@ mod tests {
     fn late_fault_is_reported_unchecked_not_failed() {
         let policy = Policy::parse(POLICY).unwrap();
         let plan = FaultPlan::parse("chaos fault wire_flap at 9ms for 1ms permille 500\n").unwrap();
-        let report = run_chaos(&policy, &plan).unwrap();
+        let report = run_chaos(&policy, RunOptions::chaos(plan)).unwrap();
         assert!(report.recovery.results.is_empty());
         assert_eq!(report.unchecked.len(), 1);
         assert!(report.passed(), "no judgeable window means a pass");

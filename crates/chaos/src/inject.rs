@@ -1,25 +1,25 @@
 //! The [`ChaosController`]: one object that answers every hook point.
 //!
-//! A single `Arc<ChaosController>` is installed into the NIC model (as an
-//! [`np_sim::FaultInjector`]), the FlowValve pipeline (as a
-//! [`flowvalve::pipeline::SchedChaosHook`]) and the host engine (as a
-//! [`hostsim::HostChaosHook`]). Each hook answers from the fault plan and
-//! the *current virtual time* only, so a faulted run is a pure function of
-//! `(plan, seed)` — replayable byte-for-byte.
+//! A single `Arc<ChaosController>` is installed as the
+//! [`np_sim::FaultInjector`] of every layer: the NIC model (traffic
+//! manager, worker pool, lock table), the FlowValve pipeline (scheduler
+//! clock skew) and the host side (hostsim's engine, or the saturation
+//! driver in [`crate::harness`]: app pauses and VF resets). Each hook
+//! answers from the fault plan and the *current virtual time* only, so a
+//! faulted run is a pure function of `(plan, seed)` — replayable
+//! byte-for-byte.
 //!
 //! The controller also owns the subsystem's observability: it counts
 //! injections/recoveries into `chaos.*` metrics and stamps
 //! [`TraceKind::FaultInject`]/[`TraceKind::FaultClear`] events into the
 //! telemetry ring whenever a fault window opens or closes (detected by
-//! [`ChaosController::note_transitions`], which the harness calls as the
+//! [`ChaosController::note_transitions`], which the driver calls as the
 //! clock advances).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use flowvalve::pipeline::SchedChaosHook;
 use fv_telemetry::{Counter, EventRing, Registry, TraceKind};
-use hostsim::HostChaosHook;
 use netstack::packet::{AppId, VfPort};
 use np_sim::{FaultInjector, TmFault};
 use sim_core::time::Nanos;
@@ -131,13 +131,14 @@ impl FaultInjector for ChaosController {
         (engines > 0).then_some((engines, until))
     }
 
+    /// Overlapping burns add up, saturating at `u64::MAX`.
     fn extra_cycles(&self, now: Nanos) -> u64 {
         self.active(now)
             .filter_map(|f| match f.kind {
                 FaultKind::CpuBurn { cycles } => Some(cycles),
                 _ => None,
             })
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
     fn tm_fault(&self, now: Nanos, _pkt_id: u64) -> TmFault {
@@ -178,9 +179,7 @@ impl FaultInjector for ChaosController {
             .max()
             .unwrap_or(1000)
     }
-}
 
-impl SchedChaosHook for ChaosController {
     /// Largest active skew wins.
     fn sched_clock_skew(&self, now: Nanos) -> Nanos {
         self.active(now)
@@ -191,9 +190,7 @@ impl SchedChaosHook for ChaosController {
             .max()
             .unwrap_or(Nanos::ZERO)
     }
-}
 
-impl HostChaosHook for ChaosController {
     fn app_paused_until(&self, app: AppId, now: Nanos) -> Option<Nanos> {
         self.active(now)
             .filter_map(|f| match f.kind {
@@ -209,11 +206,6 @@ impl HostChaosHook for ChaosController {
             _ => false,
         })
     }
-}
-
-/// Convenience: one `Arc` usable at every hook point.
-pub fn controller(plan: FaultPlan, registry: &Registry) -> Arc<ChaosController> {
-    Arc::new(ChaosController::new(plan, registry))
 }
 
 #[cfg(test)]

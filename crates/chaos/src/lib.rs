@@ -3,12 +3,11 @@
 //! Real SmartNIC deployments degrade in ways a clean simulation never
 //! shows: links flap, micro-engines stall, traffic managers corrupt
 //! frames, host applications pause. This crate schedules such failures as
-//! *fault windows on the virtual clock* and drives them through hook
-//! points in every layer — the NP model's traffic manager, worker pool
-//! and lock table ([`np_sim::FaultInjector`]), the FlowValve scheduler
-//! clock ([`flowvalve::pipeline::SchedChaosHook`]) and the host boundary
-//! ([`hostsim::HostChaosHook`]) — so the *same* scheduler code runs
-//! faulted or clean.
+//! *fault windows on the virtual clock* and drives them through one hook
+//! seam, [`np_sim::FaultInjector`], consulted in every layer — the NP
+//! model's traffic manager, worker pool and lock table, the FlowValve
+//! scheduler clock and the host boundary — so the *same* scheduler code
+//! runs faulted or clean.
 //!
 //! Because every fault is a pure function of virtual time and all workload
 //! randomness flows from the plan's seed, a faulted run is exactly
@@ -18,14 +17,15 @@
 //!
 //! - [`plan`] — the `chaos` command language and [`FaultPlan`]
 //! - [`inject`] — the [`ChaosController`] answering every hook point
-//! - [`harness`] — [`run_chaos`]: the `fv demo` workload, faulted, with
-//!   per-fault recovery assertions from fv-scope
+//! - [`harness`] — [`run_saturation`]: the saturation workload every
+//!   `fv` report runs, faulted when given a plan; [`run_chaos`]: a
+//!   faulted run plus per-fault recovery assertions from fv-scope
 //!
 //! # Example
 //!
 //! ```
 //! use flowvalve::frontend::Policy;
-//! use fv_chaos::{run_chaos, FaultPlan};
+//! use fv_chaos::{run_chaos, FaultPlan, RunOptions};
 //!
 //! let policy = Policy::parse(
 //!     "fv qdisc add dev nic0 root handle 1: fv default 1:10\n\
@@ -39,7 +39,7 @@
 //!      chaos fault wire_flap at 3ms for 2ms permille 250\n",
 //! )
 //! .unwrap();
-//! let report = run_chaos(&policy, &plan).unwrap();
+//! let report = run_chaos(&policy, RunOptions::chaos(plan)).unwrap();
 //! assert_eq!(report.snapshot.counter("chaos.faults_injected"), 1);
 //! assert!(report.passed(), "{}", report.render());
 //! ```
@@ -48,6 +48,6 @@ pub mod harness;
 pub mod inject;
 pub mod plan;
 
-pub use harness::{run_chaos, run_chaos_audited, run_chaos_probed, ChaosReport, SETTLE};
+pub use harness::{run_chaos, run_saturation, ChaosReport, RunOptions, SaturationRun, SETTLE};
 pub use inject::ChaosController;
 pub use plan::{FaultKind, FaultPlan, FaultSpec, ParsePlanError};

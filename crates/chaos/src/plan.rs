@@ -225,8 +225,8 @@ impl FaultPlan {
 
 /// Parses `at <dur> for <dur> [key value ...]` plus the kind's parameters.
 fn parse_fault(kind: &str, rest: &[&str]) -> Result<FaultSpec, String> {
-    let mut at = None;
-    let mut dur = None;
+    let mut at = None::<(Nanos, &str)>;
+    let mut dur = None::<(Nanos, &str)>;
     let mut params: Vec<(&str, &str)> = Vec::new();
     let mut it = rest.iter();
     while let Some(key) = it.next() {
@@ -234,15 +234,22 @@ fn parse_fault(kind: &str, rest: &[&str]) -> Result<FaultSpec, String> {
             return Err(format!("dangling key {key:?}: expected a value"));
         };
         match *key {
-            "at" => at = Some(parse_duration(val)?),
-            "for" => dur = Some(parse_duration(val)?),
+            "at" => at = Some((parse_duration(val)?, val)),
+            "for" => dur = Some((parse_duration(val)?, val)),
             k => params.push((k, val)),
         }
     }
-    let at = at.ok_or_else(|| format!("fault {kind:?} missing `at <time>`"))?;
-    let dur = dur.ok_or_else(|| format!("fault {kind:?} missing `for <duration>`"))?;
+    let (at, at_text) = at.ok_or_else(|| format!("fault {kind:?} missing `at <time>`"))?;
+    let (dur, dur_text) = dur.ok_or_else(|| format!("fault {kind:?} missing `for <duration>`"))?;
     if dur == Nanos::ZERO {
         return Err(format!("fault {kind:?} has zero duration"));
+    }
+    if at.as_nanos().checked_add(dur.as_nanos()).is_none() {
+        return Err(format!(
+            "fault {kind:?} at {at_text} for {dur_text} ends past the last \
+             representable instant ({} ns)",
+            u64::MAX
+        ));
     }
 
     let one = |name: &str| -> Result<&str, String> {
@@ -328,7 +335,9 @@ fn parse_duration(s: &str) -> Result<Nanos, String> {
         "s" => 1_000_000_000,
         _ => return Err(format!("bad duration {s:?}: expected <int><ns|us|ms|s>")),
     };
-    Ok(Nanos::from_nanos(n.saturating_mul(scale)))
+    n.checked_mul(scale)
+        .map(Nanos::from_nanos)
+        .ok_or_else(|| format!("bad duration {s:?}: more than {} ns", u64::MAX))
 }
 
 impl ToJson for FaultSpec {
@@ -429,6 +438,29 @@ mod tests {
             assert_eq!(err.line, want_line, "script: {script:?} -> {err}");
             assert!(err.to_string().starts_with("plan line"));
         }
+    }
+
+    #[test]
+    fn rejects_windows_that_end_past_u64_nanoseconds() {
+        let err = FaultPlan::parse(
+            "chaos seed 1\n\
+             chaos fault wire_flap at 18446744073709ms for 18446744073709ms permille 1\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.msg.contains("at 18446744073709ms for 18446744073709ms"),
+            "{err}"
+        );
+        // A duration that does not fit on its own is rejected too, rather
+        // than clamped to the last instant.
+        let err =
+            FaultPlan::parse("chaos fault tm_pause at 18446744073710s for 1ns\n").unwrap_err();
+        assert!(err.msg.contains("bad duration"), "{err}");
+        // The last representable instant itself is a valid window end.
+        let plan =
+            FaultPlan::parse("chaos fault tm_pause at 18446744073709551614ns for 1ns\n").unwrap();
+        assert_eq!(plan.faults[0].end(), Nanos::from_nanos(u64::MAX));
     }
 
     #[test]

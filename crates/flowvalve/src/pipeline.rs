@@ -14,6 +14,7 @@ use fv_telemetry::Registry;
 use netstack::packet::Packet;
 use np_sim::config::NicConfig;
 use np_sim::cost::{AttrStage, CostMeter, Op};
+use np_sim::fault::FaultInjector;
 use np_sim::lock::LockTable;
 use np_sim::nic::{Decision, EgressDecider};
 use sim_core::time::{Cycles, Nanos};
@@ -35,18 +36,6 @@ pub enum LockDiscipline {
     /// blocking lock serializes every update (Figure 7(b)); spin time is
     /// charged to the worker, so throughput collapses as cores contend.
     Global,
-}
-
-/// Scheduler-side chaos hook: lets fv-chaos skew the clock the scheduling
-/// function sees relative to the NIC clock (the dual-clock-skew fault).
-/// The pipeline clamps the skewed clock to be monotonic, so token-bucket
-/// epochs never run backwards when a skew window clears.
-pub trait SchedChaosHook: std::fmt::Debug + Send + Sync {
-    /// How far *ahead* of the NIC clock the scheduler's clock runs at
-    /// `now`. Zero (the default) means the clocks agree.
-    fn sched_clock_skew(&self, _now: Nanos) -> Nanos {
-        Nanos::ZERO
-    }
 }
 
 /// Per-class verdict counters, one set per scheduling-tree class.
@@ -196,7 +185,7 @@ pub struct FlowValvePipeline {
     /// walk executes with a recorder threaded through it and the finished
     /// record lands in the ring. `None` (the default) costs one branch.
     audit: Option<AuditHook>,
-    chaos: Option<Arc<dyn SchedChaosHook>>,
+    chaos: Option<Arc<dyn FaultInjector>>,
     /// High-water mark of the (possibly skewed) scheduler clock, keeping
     /// it monotonic across fault windows.
     sched_floor: Nanos,
@@ -298,10 +287,13 @@ impl FlowValvePipeline {
         CompiledProgram::compile(tree, labels)
     }
 
-    /// Installs a chaos hook consulted on every scheduling decision (the
-    /// dual-clock-skew fault). The hook sees the NIC clock and answers how
-    /// far ahead the scheduler's clock runs.
-    pub fn install_chaos_hook(&mut self, hook: Arc<dyn SchedChaosHook>) {
+    /// Installs a fault injector whose
+    /// [`FaultInjector::sched_clock_skew`] is consulted on every scheduling
+    /// decision (the dual-clock-skew fault). It sees the NIC clock and
+    /// answers how far ahead the scheduler's clock runs; the pipeline
+    /// keeps the skewed clock monotonic, so token-bucket epochs never run
+    /// backwards when a skew window clears.
+    pub fn install_chaos_hook(&mut self, hook: Arc<dyn FaultInjector>) {
         self.chaos = Some(hook);
     }
 
@@ -771,7 +763,7 @@ mod tests {
         /// Runs the scheduler clock 100 us ahead inside `[0, 10us)`.
         #[derive(Debug)]
         struct Skew;
-        impl SchedChaosHook for Skew {
+        impl FaultInjector for Skew {
             fn sched_clock_skew(&self, now: Nanos) -> Nanos {
                 if now < Nanos::from_micros(10) {
                     Nanos::from_micros(100)

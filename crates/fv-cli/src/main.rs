@@ -66,23 +66,15 @@ use std::sync::Arc;
 
 use flowvalve::frontend::Policy;
 use flowvalve::label::ClassId;
-use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::{SchedulingTree, TreeParams};
-use fv_audit::{
-    AuditVerdict, BucketSnapshot, Ledger, ProvenanceRecord, ProvenanceRing, Sampler, StepKind,
-};
+use fv_audit::{AuditVerdict, Ledger, ProvenanceRecord, StepKind};
+use fv_chaos::{run_chaos, run_saturation, FaultPlan, RunOptions, SaturationRun};
 use fv_probe::{diff_docs, flight_doc, rank_locks, LatencyAttr, ProbeReport, UNATTRIBUTED};
-use fv_scope::{chrome_trace, evaluate, latency_table, prometheus_text, Slo};
-use fv_scope::{SamplerConfig, TimeSampler};
-use fv_telemetry::{JsonValue, MetricValue, Registry, Snapshot, ToJson};
-use netstack::flow::FlowKey;
-use netstack::gen::{ArrivalProcess, LineRateProcess};
-use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
+use fv_scope::{chrome_trace, evaluate, latency_table, prometheus_text, SamplerConfig, Slo};
+use fv_telemetry::{JsonValue, MetricValue, Snapshot, SpanSink, ToJson, TraceEvent};
 use np_sim::config::NicConfig;
 use np_sim::cost::CycleAttr;
 use np_sim::lock::PerLockStats;
-use np_sim::nic::SmartNic;
-use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -234,189 +226,94 @@ fn main() -> ExitCode {
     }
 }
 
-/// Knobs for [`run_workload`] beyond the policy itself.
-struct RunOptions {
-    /// Event-ring capacity (`fv trace` wants a deep ring).
-    ring_capacity: usize,
-    /// Attach a virtual-time sampler with this configuration.
-    sampler: Option<SamplerConfig>,
-    /// Attach the attribution probes (cycle + latency).
-    probe: bool,
-    /// Attach sampled provenance capture with this 1-in-2^n sampling
-    /// shift; after the run the records are folded through the
-    /// conservation ledger into `audit.*` counters. The default shift
-    /// keeps every sampled packet id of the 10 ms demo resident in the
-    /// provenance ring (capacity × 2^shift id window).
-    audit: Option<u32>,
-}
-
-/// Default provenance sampling: 1 packet in 2^6 = 64.
+/// Provenance sampling for every report but `fv chaos`: 1 packet in
+/// 2^6 = 64, every sampled id of the 10 ms run resident in the ring.
 const AUDIT_SHIFT: u32 = 6;
-/// Provenance-ring slots; with [`AUDIT_SHIFT`] this retains a lossless
-/// window of 262144 packet ids, several times the demo's packet count.
-const AUDIT_RING_CAPACITY: usize = 4096;
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            ring_capacity: 1024,
-            sampler: None,
-            probe: false,
-            audit: Some(AUDIT_SHIFT),
-        }
+/// `fv demo`'s run: a 1024-slot event ring and 1-in-64 provenance
+/// capture. The other reports change the fields they need.
+fn demo_options() -> RunOptions {
+    RunOptions {
+        plan: None,
+        ring_capacity: 1024,
+        sampler: None,
+        probes: None,
+        audit: Some(AUDIT_SHIFT),
     }
 }
 
-/// The attribution probes attached to a run when `RunOptions::probe` is
-/// set: the cycle-attribution array shared with the NIC's cost meter and
-/// the latency sink installed on the registry's span path.
-struct ProbeHandles {
+/// Runs the saturation driver; a failure is reported on stderr.
+fn saturate(policy: &Policy, opts: RunOptions) -> Option<SaturationRun> {
+    run_saturation(policy, opts)
+        .map_err(|e| eprintln!("fv: {e}"))
+        .ok()
+}
+
+/// Reads and parses a fault plan; a failure is reported on stderr.
+fn read_plan(path: &str) -> Option<FaultPlan> {
+    let text = read_script(path)
+        .map_err(|e| eprintln!("fv: cannot read {path}: {e}"))
+        .ok()?;
+    FaultPlan::parse(&text)
+        .map_err(|e| eprintln!("fv: {path}: {e}"))
+        .ok()
+}
+
+/// The attribution probes of a profiled run: the cycle-attribution array
+/// shared with the NIC's cost meter and the latency sink installed on the
+/// registry's span path.
+struct Probes {
     attr: Arc<CycleAttr>,
     latency: Arc<LatencyAttr>,
 }
 
-/// The provenance capture attached to a run when `RunOptions::audit` is
-/// set; the conservation ledger has already been folded into the run's
-/// `audit.*` counters by the time this is handed out.
-struct AuditHandles {
-    ring: Arc<ProvenanceRing>,
-    slab: Vec<BucketSnapshot>,
-    shift: u32,
+impl Probes {
+    fn new() -> Probes {
+        Probes {
+            attr: Arc::new(CycleAttr::new(NicConfig::agilio_cx_40g().num_mes)),
+            latency: Arc::new(LatencyAttr::new()),
+        }
+    }
+
+    /// The handles [`RunOptions::probes`] takes.
+    fn handles(&self) -> (Arc<CycleAttr>, Arc<dyn SpanSink>) {
+        (self.attr.clone(), self.latency.clone())
+    }
+
+    /// Folds what the probes saw, plus the run's lock rows and snapshot,
+    /// into a profile.
+    fn report(
+        &self,
+        per_lock: &[PerLockStats],
+        snapshot: &Snapshot,
+        horizon: Nanos,
+    ) -> ProbeReport {
+        ProbeReport::build(&self.attr, per_lock, &self.latency, snapshot, horizon)
+    }
 }
 
-/// Everything a reporting command needs after the saturation run.
-struct DemoRun {
-    snapshot: Snapshot,
-    tree: std::sync::Arc<SchedulingTree>,
-    flows: usize,
-    offered: BitRate,
-    registry: Registry,
-    sampler: Option<TimeSampler>,
+/// Writes a flight-recorder document to `path`, reporting the outcome.
+fn write_flight(
+    path: &str,
+    trigger: &str,
     horizon: Nanos,
-    probe: Option<ProbeHandles>,
-    /// Per-lock contention rows, collected on every run (cheap).
-    lock_profile: Vec<PerLockStats>,
-    /// `stable_hash` → flow key, so profile output can name flows.
-    flow_names: Vec<(u64, FlowKey)>,
-    /// Provenance ring and conservation report when auditing was on.
-    audit: Option<AuditHandles>,
+    probe: &ProbeReport,
+    events: &[TraceEvent],
+) {
+    let doc = flight_doc(trigger, horizon, probe, events);
+    match std::fs::write(path, doc.to_pretty()) {
+        Ok(()) => println!(
+            "wrote flight recorder {path} ({} trace events)",
+            events.len()
+        ),
+        Err(e) => eprintln!("fv: cannot write {path}: {e}"),
+    }
 }
 
-/// Saturates every filtered class with an equal share of 1.5x line rate
-/// for 10 ms of simulated time, with full telemetry attached, and returns
-/// the end-of-run registry snapshot.
-fn run_workload(policy: &Policy, opts: RunOptions) -> Result<DemoRun, String> {
-    let cfg = NicConfig::agilio_cx_40g();
-    let pipeline = FlowValvePipeline::compile(policy, TreeParams::default(), &cfg)
-        .map_err(|e| e.to_string())?;
-    let tree = pipeline.tree().clone();
-    let line = cfg.line_rate;
-    let framing = cfg.framing;
-    let num_mes = cfg.num_mes;
-    let registry = Registry::with_ring_capacity(opts.ring_capacity);
-    let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
-    let audit_hook = opts.audit.map(|shift| {
-        (
-            Arc::new(ProvenanceRing::sampled(AUDIT_RING_CAPACITY, shift)),
-            shift,
-        )
-    });
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.attach_telemetry(&registry);
-        if let Some((ring, shift)) = &audit_hook {
-            p.attach_auditor(ring.clone(), Sampler::one_in_pow2(*shift));
-        }
-    }
-    let probe = if opts.probe {
-        let attr = Arc::new(CycleAttr::new(num_mes));
-        nic.attach_probe(attr.clone());
-        let latency = Arc::new(LatencyAttr::new());
-        registry.install_span_sink(latency.clone());
-        Some(ProbeHandles { attr, latency })
-    } else {
-        None
-    };
-    let mut sampler = opts.sampler.map(|cfg| TimeSampler::new(&registry, cfg));
-
-    // One flow per filter, matched as precisely as the filter allows.
-    let mut flows: Vec<(FlowKey, VfPort)> = Vec::new();
-    for (i, f) in policy.filters.iter().enumerate() {
-        let m = &f.matcher;
-        let flow = FlowKey::tcp(
-            [10, 0, 0, 10 + i as u8],
-            m.src_port.unwrap_or(41_000 + i as u16),
-            [10, 0, 255, 1],
-            m.dst_port.unwrap_or(5_000 + i as u16),
-        );
-        flows.push((flow, m.vf.unwrap_or(VfPort(i as u8))));
-    }
-    if flows.is_empty() {
-        return Err("no filters to demo".into());
-    }
-
-    let horizon = Nanos::from_millis(10);
-    let mut rng = SimRng::seed(1);
-    let mut ids = PacketIdGen::new();
-    // Each flow offers an equal slice of 1.5x line rate: collectively
-    // oversubscribed so the policy has something to decide.
-    let offered = line.scaled(3, 2 * flows.len() as u64);
-    let mut gens: Vec<LineRateProcess> = flows
-        .iter()
-        .map(|_| LineRateProcess::new(offered, 1518, framing))
-        .collect();
-    let mut next: Vec<Nanos> = gens
-        .iter_mut()
-        .map(|g| Nanos::ZERO + g.next_arrival(&mut rng).0)
-        .collect();
-
-    loop {
-        let (idx, &t) = next
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .expect("flows is non-empty");
-        if t >= horizon {
-            break;
-        }
-        let (flow, vf) = flows[idx];
-        if let Some(s) = sampler.as_mut() {
-            s.advance_to(t);
-        }
-        let pkt = Packet::new(ids.next_id(), flow, 1518, AppId(idx as u16), vf, t);
-        let _ = nic.rx(&pkt, t);
-        next[idx] = t + gens[idx].next_arrival(&mut rng).0;
-    }
-    if let Some(s) = sampler.as_mut() {
-        s.advance_to(horizon);
-    }
-
-    // Publish cold-path gauges (per-engine utilization, θ/Γ) and capture.
-    nic.sync_gauges(horizon);
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.sync_gauges(horizon);
-    }
-    let lock_profile = nic.per_lock_stats().to_vec();
-    let flow_names = flows.iter().map(|(f, _)| (f.stable_hash(), *f)).collect();
-    // Fold the sampled provenance through the conservation ledger before
-    // the snapshot, so `audit.*` counters are part of it.
-    let audit = audit_hook.map(|(ring, shift)| {
-        let slab = tree.slab_snapshot();
-        Ledger::audit(&ring.records(), &slab).install_counters(&registry, 0);
-        AuditHandles { ring, slab, shift }
-    });
-    Ok(DemoRun {
-        snapshot: registry.snapshot(horizon),
-        tree,
-        flows: flows.len(),
-        offered,
-        registry,
-        sampler,
-        horizon,
-        probe,
-        lock_profile,
-        flow_names,
-        audit,
-    })
+/// The whole event ring of a run, oldest first.
+fn ring_events(run: &SaturationRun) -> Vec<TraceEvent> {
+    let ring = run.registry.ring();
+    ring.recent(ring.capacity())
 }
 
 fn gauge_of(snapshot: &Snapshot, name: &str) -> u64 {
@@ -433,12 +330,8 @@ fn fmt_bps(bps: u64) -> String {
 /// Runs the saturation demo and prints per-class verdicts, all routed
 /// through the telemetry snapshot (`--json` dumps the whole snapshot).
 fn demo(policy: &Policy, json: bool) -> ExitCode {
-    let run = match run_workload(policy, RunOptions::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = saturate(policy, demo_options()) else {
+        return ExitCode::FAILURE;
     };
     if json {
         println!("{}", run.snapshot.to_json().to_pretty());
@@ -448,7 +341,8 @@ fn demo(policy: &Policy, json: bool) -> ExitCode {
 
     println!(
         "demo: 10 ms, {} flows, each offered {}\n",
-        run.flows, run.offered
+        run.flows.len(),
+        run.offered
     );
     println!(
         "{:<12} {:<12} {:<12} {:>10} {:>9} {:>9} {:>9}",
@@ -500,12 +394,8 @@ fn demo(policy: &Policy, json: bool) -> ExitCode {
 /// Runs the saturation demo and prints `tc -s qdisc show`-style per-class
 /// statistics from the telemetry snapshot.
 fn stats(policy: &Policy, json: bool) -> ExitCode {
-    let run = match run_workload(policy, RunOptions::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = saturate(policy, demo_options()) else {
+        return ExitCode::FAILURE;
     };
     if json {
         println!("{}", run.snapshot.to_json().to_pretty());
@@ -552,7 +442,7 @@ fn stats(policy: &Policy, json: bool) -> ExitCode {
             snap.counter(&format!("{base}.lent")),
         );
     }
-    let locks = rank_locks(&run.lock_profile);
+    let locks = rank_locks(&run.per_lock);
     if !locks.is_empty() {
         println!("locks (ranked by wait):");
         for l in &locks {
@@ -569,15 +459,13 @@ fn stats(policy: &Policy, json: bool) -> ExitCode {
             );
         }
     }
-    if let Some(audit) = &run.audit {
-        println!(
-            "audit: {} sampled records (1 in {}), {} meter steps checked, {} violations",
-            snap.counter("audit.records"),
-            1u64 << audit.shift,
-            snap.counter("audit.steps_checked"),
-            snap.counter("audit.violations"),
-        );
-    }
+    println!(
+        "audit: {} sampled records (1 in {}), {} meter steps checked, {} violations",
+        snap.counter("audit.records"),
+        1u64 << AUDIT_SHIFT,
+        snap.counter("audit.steps_checked"),
+        snap.counter("audit.violations"),
+    );
     ExitCode::SUCCESS
 }
 
@@ -715,17 +603,14 @@ fn check(policy: &Policy, flags: &Flags) -> ExitCode {
         println!("conformance: skipped (no class carries a rate or ceil)");
         return ExitCode::SUCCESS;
     }
+    let probes = flags.flight.as_ref().map(|_| Probes::new());
     let opts = RunOptions {
         sampler: Some(SamplerConfig::default().with_prefix("fv.class.")),
-        probe: flags.flight.is_some(),
-        ..RunOptions::default()
+        probes: probes.as_ref().map(Probes::handles),
+        ..demo_options()
     };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = saturate(policy, opts) else {
+        return ExitCode::FAILURE;
     };
     let sampler = run.sampler.as_ref().expect("check attaches a sampler");
     // Steady state: the second half of the run, past bucket warm-up.
@@ -733,24 +618,15 @@ fn check(policy: &Policy, flags: &Flags) -> ExitCode {
     let report = evaluate(&slos, sampler, &run.snapshot, window);
     print!("{}", report.render());
     if !report.passed() {
-        if let (Some(path), Some(p)) = (&flags.flight, &run.probe) {
-            let probe = ProbeReport::build(
-                &p.attr,
-                &run.lock_profile,
-                &p.latency,
-                &run.snapshot,
+        if let (Some(path), Some(p)) = (&flags.flight, &probes) {
+            let probe = p.report(&run.per_lock, &run.snapshot, run.horizon);
+            write_flight(
+                path,
+                "slo:conformance",
                 run.horizon,
+                &probe,
+                &ring_events(&run),
             );
-            let ring = run.registry.ring();
-            let events = ring.recent(ring.capacity());
-            let doc = flight_doc("slo:conformance", run.horizon, &probe, &events);
-            match std::fs::write(path, doc.to_pretty()) {
-                Ok(()) => println!(
-                    "wrote flight recorder {path} ({} trace events)",
-                    events.len()
-                ),
-                Err(e) => eprintln!("fv: cannot write {path}: {e}"),
-            }
         }
         return ExitCode::FAILURE;
     }
@@ -762,17 +638,12 @@ fn check(policy: &Policy, flags: &Flags) -> ExitCode {
 fn trace(policy: &Policy, flags: &Flags) -> ExitCode {
     let opts = RunOptions {
         ring_capacity: 1 << 17,
-        ..RunOptions::default()
+        ..demo_options()
     };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = saturate(policy, opts) else {
+        return ExitCode::FAILURE;
     };
-    let ring = run.registry.ring();
-    let events = ring.recent(ring.capacity());
+    let events = ring_events(&run);
     let doc = chrome_trace(&events);
     let spans = events
         .iter()
@@ -804,34 +675,17 @@ fn chaos(policy: &Policy, flags: &Flags) -> ExitCode {
         eprintln!("fv: chaos requires --plan <file>");
         return ExitCode::from(2);
     };
-    let plan_text = match read_script(plan_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fv: cannot read {plan_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plan = match fv_chaos::FaultPlan::parse(&plan_text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fv: {plan_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(plan) = read_plan(plan_path) else {
+        return ExitCode::FAILURE;
     };
     // `--flight` attaches the attribution probes so the dump can say what
     // the pipeline was doing across the fault windows.
-    let probes = flags.flight.as_ref().map(|_| ProbeHandles {
-        attr: Arc::new(CycleAttr::new(NicConfig::agilio_cx_40g().num_mes)),
-        latency: Arc::new(LatencyAttr::new()),
-    });
-    let report = match fv_chaos::run_chaos_probed(
-        policy,
-        &plan,
-        probes.as_ref().map(|p| p.attr.clone()),
-        probes
-            .as_ref()
-            .map(|p| p.latency.clone() as Arc<dyn fv_telemetry::SpanSink>),
-    ) {
+    let probes = flags.flight.as_ref().map(|_| Probes::new());
+    let opts = RunOptions {
+        probes: probes.as_ref().map(Probes::handles),
+        ..RunOptions::chaos(plan)
+    };
+    let report = match run_chaos(policy, opts) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("fv: {e}");
@@ -844,22 +698,15 @@ fn chaos(policy: &Policy, flags: &Flags) -> ExitCode {
         print!("{}", report.render());
     }
     if let (Some(path), Some(p)) = (&flags.flight, &probes) {
-        let probe = ProbeReport::build(
-            &p.attr,
-            &report.per_lock,
-            &p.latency,
-            &report.snapshot,
-            report.horizon,
-        );
+        let probe = p.report(&report.per_lock, &report.snapshot, report.horizon);
         let trigger = format!("chaos:{} fault windows", report.plan.faults.len());
-        let doc = flight_doc(&trigger, report.horizon, &probe, &report.snapshot.events);
-        match std::fs::write(path, doc.to_pretty()) {
-            Ok(()) => println!(
-                "wrote flight recorder {path} ({} trace events)",
-                report.snapshot.events.len()
-            ),
-            Err(e) => eprintln!("fv: cannot write {path}: {e}"),
-        }
+        write_flight(
+            path,
+            &trigger,
+            report.horizon,
+            &probe,
+            &report.snapshot.events,
+        );
     }
     if report.passed() {
         ExitCode::SUCCESS
@@ -881,14 +728,10 @@ fn timeseries(policy: &Policy, flags: &Flags) -> ExitCode {
     }
     let opts = RunOptions {
         sampler: Some(cfg),
-        ..RunOptions::default()
+        ..demo_options()
     };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = saturate(policy, opts) else {
+        return ExitCode::FAILURE;
     };
     let sampler = run.sampler.as_ref().expect("timeseries attaches a sampler");
     let text = if flags.prom {
@@ -916,25 +759,15 @@ fn timeseries(policy: &Policy, flags: &Flags) -> ExitCode {
 /// Attribution is deterministic: the same script yields byte-identical
 /// output on every run.
 fn profile(policy: &Policy, flags: &Flags) -> ExitCode {
+    let probes = Probes::new();
     let opts = RunOptions {
-        probe: true,
-        ..RunOptions::default()
+        probes: Some(probes.handles()),
+        ..demo_options()
     };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = saturate(policy, opts) else {
+        return ExitCode::FAILURE;
     };
-    let p = run.probe.as_ref().expect("profile attaches probes");
-    let report = ProbeReport::build(
-        &p.attr,
-        &run.lock_profile,
-        &p.latency,
-        &run.snapshot,
-        run.horizon,
-    );
+    let report = probes.report(&run.per_lock, &run.snapshot, run.horizon);
     let text = if flags.folded {
         report.folded()
     } else if flags.json {
@@ -960,28 +793,18 @@ fn profile(policy: &Policy, flags: &Flags) -> ExitCode {
 /// moved the most wire bits (named via the demo's flow table) and the
 /// most contended locks.
 fn top(policy: &Policy) -> ExitCode {
+    let probes = Probes::new();
     let opts = RunOptions {
-        probe: true,
-        ..RunOptions::default()
+        probes: Some(probes.handles()),
+        ..demo_options()
     };
-    let run = match run_workload(policy, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = saturate(policy, opts) else {
+        return ExitCode::FAILURE;
     };
-    let p = run.probe.as_ref().expect("top attaches probes");
-    let report = ProbeReport::build(
-        &p.attr,
-        &run.lock_profile,
-        &p.latency,
-        &run.snapshot,
-        run.horizon,
-    );
+    let report = probes.report(&run.per_lock, &run.snapshot, run.horizon);
     println!(
         "top: {} spans attributed across {} classes\n",
-        p.latency.span_count(),
+        probes.latency.span_count(),
         report.classes.len()
     );
     println!(
@@ -995,10 +818,10 @@ fn top(policy: &Policy) -> ExitCode {
             format!("1:{}", f.class)
         };
         let name = run
-            .flow_names
+            .flows
             .iter()
-            .find(|(h, _)| *h == f.flow_hash)
-            .map(|(_, k)| k.to_string())
+            .find(|k| k.stable_hash() == f.flow_hash)
+            .map(|k| k.to_string())
             .unwrap_or_else(|| format!("{:016x}", f.flow_hash));
         println!(
             "{:<5} {:<10} {:>16} {:>8} {:>10}  {name}",
@@ -1045,16 +868,15 @@ fn why(policy: &Policy, flags: &Flags) -> ExitCode {
         eprintln!("fv: why requires --pkt <id> or --flow <class>");
         return ExitCode::from(2);
     }
-    let run = match run_workload(policy, RunOptions::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fv: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(run) = saturate(policy, demo_options()) else {
+        return ExitCode::FAILURE;
     };
-    let audit = run.audit.as_ref().expect("why runs with auditing attached");
+    let ring = run
+        .provenance
+        .as_ref()
+        .expect("why runs with auditing attached");
     if let Some(pkt) = flags.pkt {
-        match audit.ring.get(pkt) {
+        match ring.get(pkt) {
             Some(rec) => {
                 if flags.json {
                     println!("{}", rec.to_json().to_pretty());
@@ -1067,7 +889,7 @@ fn why(policy: &Policy, flags: &Flags) -> ExitCode {
                 eprintln!(
                     "fv: no provenance for pkt {pkt}: not sampled (1 in {} by \
                      packet id), unlabeled, or evicted from the ring",
-                    1u64 << audit.shift
+                    1u64 << AUDIT_SHIFT
                 );
                 ExitCode::FAILURE
             }
@@ -1078,8 +900,7 @@ fn why(policy: &Policy, flags: &Flags) -> ExitCode {
             eprintln!("fv: no class named {label}");
             return ExitCode::FAILURE;
         };
-        let recs: Vec<ProvenanceRecord> = audit
-            .ring
+        let recs: Vec<ProvenanceRecord> = ring
             .records()
             .into_iter()
             .filter(|r| r.leaf == id.0)
@@ -1122,97 +943,31 @@ fn why(policy: &Policy, flags: &Flags) -> ExitCode {
 /// the token-conservation ledger. Exits 1 on any conservation break;
 /// `--inject-mischarge` corrupts one record first as a gate self-test.
 fn audit_cmd(policy: &Policy, flags: &Flags) -> ExitCode {
-    // Collect (records, slab) plus whatever a flight dump would need.
-    struct Collected {
-        records: Vec<ProvenanceRecord>,
-        slab: Vec<BucketSnapshot>,
-        horizon: Nanos,
-        probe: Option<ProbeReport>,
-        events: Vec<fv_telemetry::TraceEvent>,
-    }
-    let collected = if let Some(plan_path) = &flags.plan {
-        let plan_text = match read_script(plan_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("fv: cannot read {plan_path}: {e}");
+    let opts = match &flags.plan {
+        Some(path) => {
+            let Some(plan) = read_plan(path) else {
                 return ExitCode::FAILURE;
+            };
+            RunOptions {
+                audit: Some(AUDIT_SHIFT),
+                ..RunOptions::chaos(plan)
             }
-        };
-        let plan = match fv_chaos::FaultPlan::parse(&plan_text) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("fv: {plan_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let probes = flags.flight.as_ref().map(|_| ProbeHandles {
-            attr: Arc::new(CycleAttr::new(NicConfig::agilio_cx_40g().num_mes)),
-            latency: Arc::new(LatencyAttr::new()),
-        });
-        let ring = Arc::new(ProvenanceRing::sampled(AUDIT_RING_CAPACITY, AUDIT_SHIFT));
-        let report = match fv_chaos::run_chaos_audited(
-            policy,
-            &plan,
-            probes.as_ref().map(|p| p.attr.clone()),
-            probes
-                .as_ref()
-                .map(|p| p.latency.clone() as Arc<dyn fv_telemetry::SpanSink>),
-            Some((ring.clone(), Sampler::one_in_pow2(AUDIT_SHIFT))),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fv: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let probe = probes.as_ref().map(|p| {
-            ProbeReport::build(
-                &p.attr,
-                &report.per_lock,
-                &p.latency,
-                &report.snapshot,
-                report.horizon,
-            )
-        });
-        Collected {
-            records: ring.records(),
-            slab: report.slab.clone(),
-            horizon: report.horizon,
-            probe,
-            events: report.snapshot.events.clone(),
         }
-    } else {
-        let opts = RunOptions {
-            probe: flags.flight.is_some(),
-            ..RunOptions::default()
-        };
-        let run = match run_workload(policy, opts) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fv: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let audit = run.audit.as_ref().expect("audit runs with capture on");
-        let probe = run.probe.as_ref().map(|p| {
-            ProbeReport::build(
-                &p.attr,
-                &run.lock_profile,
-                &p.latency,
-                &run.snapshot,
-                run.horizon,
-            )
-        });
-        let ring = run.registry.ring();
-        Collected {
-            records: audit.ring.records(),
-            slab: audit.slab.clone(),
-            horizon: run.horizon,
-            probe,
-            events: ring.recent(ring.capacity()),
-        }
+        None => demo_options(),
     };
-    let mut records = collected.records;
+    let probes = flags.flight.as_ref().map(|_| Probes::new());
+    let opts = RunOptions {
+        probes: probes.as_ref().map(Probes::handles),
+        ..opts
+    };
+    let Some(run) = saturate(policy, opts) else {
+        return ExitCode::FAILURE;
+    };
+    let mut records = run
+        .provenance
+        .as_ref()
+        .expect("audit runs with capture on")
+        .records();
     if flags.inject_mischarge {
         // Gate self-test: move one green meter step's after-level by one
         // token. The ledger must flag exactly this as a mischarge.
@@ -1227,7 +982,7 @@ fn audit_cmd(policy: &Policy, flags: &Flags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let report = Ledger::audit(&records, &collected.slab);
+    let report = Ledger::audit(&records, &run.slab);
     if flags.json {
         println!("{}", report.to_json().to_pretty());
     } else {
@@ -1236,16 +991,10 @@ fn audit_cmd(policy: &Policy, flags: &Flags) -> ExitCode {
     if report.ok() {
         return ExitCode::SUCCESS;
     }
-    if let (Some(path), Some(probe)) = (&flags.flight, &collected.probe) {
+    if let (Some(path), Some(p)) = (&flags.flight, &probes) {
+        let probe = p.report(&run.per_lock, &run.snapshot, run.horizon);
         let trigger = format!("audit:{} conservation violations", report.violations.len());
-        let doc = flight_doc(&trigger, collected.horizon, probe, &collected.events);
-        match std::fs::write(path, doc.to_pretty()) {
-            Ok(()) => println!(
-                "wrote flight recorder {path} ({} trace events)",
-                collected.events.len()
-            ),
-            Err(e) => eprintln!("fv: cannot write {path}: {e}"),
-        }
+        write_flight(path, &trigger, run.horizon, &probe, &ring_events(&run));
     }
     ExitCode::FAILURE
 }

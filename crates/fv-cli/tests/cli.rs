@@ -681,6 +681,28 @@ fn chaos_flight_writes_profile_dump() {
 }
 
 #[test]
+fn chaos_rejects_a_fault_window_past_the_end_of_time() {
+    let f = write_script(GOOD);
+    let plan =
+        write_script("chaos fault wire_flap at 18446744073709ms for 18446744073709ms permille 1\n");
+    let out = fv()
+        .args(["chaos"])
+        .arg(&f.path)
+        .arg("--plan")
+        .arg(&plan.path)
+        .output()
+        .expect("fv runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr
+            .contains("plan line 1: fault \"wire_flap\" at 18446744073709ms for 18446744073709ms"),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report for a rejected plan");
+}
+
+#[test]
 fn chaos_json_schema_matches_golden() {
     use fv_telemetry::json::JsonValue;
 

@@ -9,8 +9,9 @@
 use std::sync::Arc;
 
 use netstack::flow::FlowKey;
-use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
+use netstack::packet::{Packet, PacketIdGen};
 use netstack::tcp::TcpConn;
+use np_sim::FaultInjector;
 use sim_core::event::EventQueue;
 use sim_core::rng::SimRng;
 use sim_core::series::SeriesRecorder;
@@ -86,36 +87,22 @@ impl RunReport {
     }
 }
 
-/// Host-side chaos hook (fv-chaos): perturbs the sending host rather than
-/// the NIC. Both methods default to "no fault" and must be deterministic
-/// functions of their arguments.
-pub trait HostChaosHook: std::fmt::Debug + Send + Sync {
-    /// When `app`'s process is frozen at `now`, returns the instant the
-    /// pause clears (the sender retries then). `None` = running normally.
-    fn app_paused_until(&self, _app: AppId, _now: Nanos) -> Option<Nanos> {
-        None
-    }
-
-    /// Whether `vf` is down (mid-reset) at `now`. Packets DMA'd into a
-    /// downed VF are lost at the host boundary and surface as losses.
-    fn vf_down(&self, _vf: VfPort, _now: Nanos) -> bool {
-        false
-    }
-}
-
 /// Runs `scenario` over `path`; returns the report and the path (whose
 /// internal statistics the caller may inspect).
 pub fn run(scenario: &Scenario, path: EgressPath) -> (RunReport, EgressPath) {
     run_with_chaos(scenario, path, None)
 }
 
-/// [`run`] with an optional host-side chaos hook consulted on every send
-/// attempt (app pauses) and every DMA handoff (VF resets). With `None`
-/// the loop is byte-identical to the clean run.
+/// [`run`] with an optional fault injector whose host-side answers are
+/// consulted on every send attempt ([`FaultInjector::app_paused_until`]:
+/// the sender retries when the pause clears) and every DMA handoff
+/// ([`FaultInjector::vf_down`]: frames DMA'd into a downed VF are lost at
+/// the host boundary and surface as losses). With `None` the loop is
+/// byte-identical to the clean run.
 pub fn run_with_chaos(
     scenario: &Scenario,
     mut path: EgressPath,
-    chaos: Option<Arc<dyn HostChaosHook>>,
+    chaos: Option<Arc<dyn FaultInjector>>,
 ) -> (RunReport, EgressPath) {
     let mut rng = SimRng::seed(scenario.seed);
     let mut ids = PacketIdGen::new();
@@ -353,6 +340,7 @@ mod tests {
     use flowvalve::frontend::Policy;
     use flowvalve::pipeline::FlowValvePipeline;
     use flowvalve::tree::TreeParams;
+    use netstack::packet::{AppId, VfPort};
     use np_sim::config::NicConfig;
     use np_sim::nic::{PassthroughDecider, SmartNic};
     use sim_core::units::BitRate;
@@ -456,7 +444,7 @@ mod tests {
         /// App 0 frozen inside `[20ms, 30ms)`.
         #[derive(Debug)]
         struct Pause;
-        impl HostChaosHook for Pause {
+        impl FaultInjector for Pause {
             fn app_paused_until(&self, app: AppId, now: Nanos) -> Option<Nanos> {
                 let (from, to) = (Nanos::from_millis(20), Nanos::from_millis(30));
                 (app.0 == 0 && now >= from && now < to).then_some(to)
@@ -482,7 +470,7 @@ mod tests {
         /// VF 0 down for the whole run: every send is lost on the host.
         #[derive(Debug)]
         struct Down;
-        impl HostChaosHook for Down {
+        impl FaultInjector for Down {
             fn vf_down(&self, vf: VfPort, _now: Nanos) -> bool {
                 vf.0 == 0
             }
@@ -503,7 +491,7 @@ mod tests {
     #[test]
     fn chaos_none_matches_plain_run() {
         let s = one_app_scenario(2);
-        let go = |chaos: Option<Arc<dyn HostChaosHook>>| {
+        let go = |chaos: Option<Arc<dyn FaultInjector>>| {
             let nic = SmartNic::new(NicConfig::agilio_cx_10g(), Box::new(PassthroughDecider));
             let (r, _) = run_with_chaos(&s, EgressPath::flowvalve(nic), chaos);
             (r.delivered, r.dropped)

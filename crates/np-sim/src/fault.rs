@@ -1,8 +1,11 @@
-//! Fault-injection hook points for the NIC model.
+//! Fault-injection hook points for the NIC model and the layers around it.
 //!
-//! The fv-chaos subsystem perturbs the simulation through this trait: the
-//! NIC, worker pool, traffic manager and lock table each consult an
-//! installed [`FaultInjector`] on their hot paths and degrade accordingly.
+//! The fv-chaos subsystem perturbs the simulation through this one trait:
+//! the NIC, worker pool, traffic manager and lock table each consult an
+//! installed [`FaultInjector`] on their hot paths and degrade accordingly,
+//! the FlowValve pipeline reads its scheduler clock skew from it, and the
+//! host side (hostsim's engine, the fv-chaos saturation driver) asks it
+//! whether an application is paused or a VF is down.
 //! Every method takes the *current virtual time* and is expected to be a
 //! pure function of it (a fault window `[at, at + dur)` either contains
 //! `now` or it does not), which is what makes a faulted run replayable:
@@ -12,6 +15,7 @@
 //! what it perturbs, and a NIC without an injector pays nothing beyond an
 //! `Option` check.
 
+use netstack::packet::{AppId, VfPort};
 use sim_core::time::Nanos;
 
 /// A traffic-manager fault verdict for one enqueue attempt.
@@ -67,6 +71,26 @@ pub trait FaultInjector: std::fmt::Debug + Send + Sync {
     fn lock_hold_permille(&self, _now: Nanos) -> u64 {
         1000
     }
+
+    /// How far *ahead* of the NIC clock the scheduler's clock runs at
+    /// `now` (the dual-clock-skew fault). The FlowValve pipeline clamps
+    /// the skewed clock to be monotonic, so token-bucket epochs never run
+    /// backwards when a skew window clears.
+    fn sched_clock_skew(&self, _now: Nanos) -> Nanos {
+        Nanos::ZERO
+    }
+
+    /// If `app` is paused at `now`, when it resumes. A paused application
+    /// offers no traffic until then.
+    fn app_paused_until(&self, _app: AppId, _now: Nanos) -> Option<Nanos> {
+        None
+    }
+
+    /// Whether virtual function `vf` is down at `now`; frames sent
+    /// through a down VF die at the host boundary.
+    fn vf_down(&self, _vf: VfPort, _now: Nanos) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -86,5 +110,8 @@ mod tests {
         assert_eq!(f.extra_cycles(t), 0);
         assert_eq!(f.tm_fault(t, 7), TmFault::None);
         assert_eq!(f.lock_hold_permille(t), 1000);
+        assert_eq!(f.sched_clock_skew(t), Nanos::ZERO);
+        assert_eq!(f.app_paused_until(AppId(0), t), None);
+        assert!(!f.vf_down(VfPort(0), t));
     }
 }

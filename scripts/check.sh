@@ -22,17 +22,31 @@ cargo test -q -p sim-core --doc
 echo "==> cargo bench -- --test (bench smoke: every bench body runs once)"
 cargo bench -p bench -- --test
 
-echo "==> figure drivers reproduce the committed results/ byte for byte"
+echo "==> figure drivers and fv reports reproduce the committed results/ byte for byte"
 # The drivers are deterministic: rerunning all of them must leave
 # results/*.json and their stdout captures (results/*.txt) unchanged.
-cargo build --release -q -p bench
+cargo build --release -q -p bench -p fv-cli
 for bin in crates/bench/src/bin/*.rs; do
     name="$(basename "$bin" .rs)"
     [[ -f "results/$name.json" ]] || continue
     "target/release/$name" > "results/$name.txt"
 done
+# Every fv report runs the same seeded saturation driver, so each one's
+# output on the demo policy is byte-stable too (results/cli/).
+FV=target/release/fv
+DEMO=scripts/motivation.fv
+"$FV" demo "$DEMO" --json > results/cli/demo.json
+"$FV" stats "$DEMO" > results/cli/stats.txt
+"$FV" check "$DEMO" > results/cli/check.txt
+"$FV" timeseries "$DEMO" > results/cli/timeseries.csv
+"$FV" profile "$DEMO" --folded > results/cli/profile.folded
+"$FV" top "$DEMO" > results/cli/top.txt
+"$FV" why "$DEMO" --pkt 64 > results/cli/why_pkt64.txt
+"$FV" audit "$DEMO" --json > results/cli/audit.json
+"$FV" audit "$DEMO" --plan scripts/demo.chaos --json > results/cli/audit_plan.json
+"$FV" chaos "$DEMO" --plan scripts/demo.chaos --json > results/cli/chaos.json
 git diff --exit-code --stat results/ \
-    || { echo "figure drivers no longer reproduce results/"; exit 1; }
+    || { echo "figure drivers or fv reports no longer reproduce results/"; exit 1; }
 
 echo "==> fv check scripts/motivation.fv (rate-conformance gate)"
 cargo run --release -q -p fv-cli -- check scripts/motivation.fv

@@ -13,19 +13,17 @@ use std::sync::Arc;
 use flowvalve::frontend::Policy;
 use flowvalve::pipeline::FlowValvePipeline;
 use flowvalve::tree::TreeParams;
-use fv_chaos::{run_chaos, ChaosController, FaultPlan, SETTLE};
+use fv_chaos::{run_chaos, run_saturation, ChaosController, FaultPlan, RunOptions, SETTLE};
 use fv_scope::{evaluate, SamplerConfig, Slo, TimeSampler};
 use fv_telemetry::{Registry, ToJson};
 use hostsim::engine::{run, run_with_chaos};
 use hostsim::path::EgressPath;
 use hostsim::scenario::{AppSpec, Scenario};
 use netstack::flow::FlowKey;
-use netstack::gen::{ArrivalProcess, LineRateProcess};
 use netstack::packet::{AppId, Packet, PacketIdGen, VfPort};
 use np_sim::config::NicConfig;
 use np_sim::nic::SmartNic;
 use qdisc::{Prio, Tbf};
-use sim_core::rng::SimRng;
 use sim_core::time::Nanos;
 use sim_core::units::BitRate;
 
@@ -45,7 +43,8 @@ fn policy() -> Policy {
 }
 
 fn chaos(plan: &str) -> fv_chaos::ChaosReport {
-    run_chaos(&policy(), &FaultPlan::parse(plan).expect("plan parses")).expect("run succeeds")
+    let plan = FaultPlan::parse(plan).expect("plan parses");
+    run_chaos(&policy(), RunOptions::chaos(plan)).expect("run succeeds")
 }
 
 #[test]
@@ -250,83 +249,56 @@ fn same_plan_and_seed_replays_byte_identically() {
     assert_eq!(a, b, "chaos replay must be byte-identical");
 }
 
-/// An empty plan must be invisible: the NIC forwards exactly what an
-/// uninstrumented run of the same workload forwards.
+/// An empty plan must be invisible: the driver with `chaos seed 1`
+/// produces the same metrics and trace events as the driver with no plan
+/// at all, and adds only the fault counters a plan registers.
 #[test]
 fn empty_plan_matches_a_run_with_no_injector_installed() {
-    let report = chaos("chaos seed 1\n");
+    let run = |plan: Option<FaultPlan>| {
+        let opts = RunOptions {
+            plan,
+            ring_capacity: 1 << 17,
+            sampler: None,
+            probes: None,
+            audit: Some(6),
+        };
+        run_saturation(&policy(), opts).expect("run succeeds")
+    };
+    let clean = run(None);
+    let faulted = run(Some(
+        FaultPlan::parse("chaos seed 1\n").expect("plan parses"),
+    ));
 
-    // Replay the identical workload on a SmartNic with no fault injector
-    // and no chaos hooks at all.
-    let pol = policy();
-    let cfg = NicConfig::agilio_cx_40g();
-    let pipeline =
-        FlowValvePipeline::compile(&pol, TreeParams::default(), &cfg).expect("policy compiles");
-    let line = cfg.line_rate;
-    let framing = cfg.framing;
-    let registry = Registry::new();
-    let mut nic = SmartNic::with_registry(cfg, Box::new(pipeline), &registry);
-    if let Some(p) = nic.decider_as::<FlowValvePipeline>() {
-        p.attach_telemetry(&registry);
-    }
-    let mut flows: Vec<(FlowKey, VfPort)> = Vec::new();
-    for (i, f) in pol.filters.iter().enumerate() {
-        let m = &f.matcher;
-        flows.push((
-            FlowKey::tcp(
-                [10, 0, 0, 10 + i as u8],
-                m.src_port.unwrap_or(41_000 + i as u16),
-                [10, 0, 255, 1],
-                m.dst_port.unwrap_or(5_000 + i as u16),
-            ),
-            m.vf.unwrap_or(VfPort(i as u8)),
-        ));
-    }
-    let horizon = Nanos::from_millis(10);
-    let mut rng = SimRng::seed(1);
-    let mut ids = PacketIdGen::new();
-    let offered = line.scaled(3, 2 * flows.len() as u64);
-    let mut gens: Vec<LineRateProcess> = flows
-        .iter()
-        .map(|_| LineRateProcess::new(offered, 1518, framing))
-        .collect();
-    let mut next: Vec<Nanos> = gens
-        .iter_mut()
-        .map(|g| Nanos::ZERO + g.next_arrival(&mut rng).0)
-        .collect();
-    loop {
-        let (idx, &t) = next
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .expect("flows non-empty");
-        if t >= horizon {
-            break;
-        }
-        let (flow, vf) = flows[idx];
-        let pkt = Packet::new(ids.next_id(), flow, 1518, AppId(idx as u16), vf, t);
-        let _ = nic.rx(&pkt, t);
-        next[idx] = t + gens[idx].next_arrival(&mut rng).0;
-    }
-    let clean = registry.snapshot(horizon);
-
-    for c in [
-        "nic.offered",
-        "nic.tx_packets",
-        "nic.tx_bits",
-        "nic.sched_drops",
-        "nic.tail_drops",
-        "nic.rx_drops",
-        "fv.class.1:10.tx_bits",
-        "fv.class.1:20.tx_bits",
-        "fv.class.1:30.tx_bits",
-    ] {
+    assert!(clean.snapshot.counter("nic.tx_packets") > 0);
+    for entry in &clean.snapshot.entries {
         assert_eq!(
-            report.snapshot.counter(c),
-            clean.counter(c),
-            "empty plan perturbed {c}"
+            faulted.snapshot.get(&entry.name),
+            Some(&entry.value),
+            "empty plan perturbed {}",
+            entry.name
         );
     }
+    for entry in &faulted.snapshot.entries {
+        let name = entry.name.as_str();
+        assert!(
+            clean.snapshot.get(name).is_some()
+                || name.starts_with("chaos.")
+                || name == "nic.fault_drops"
+                || name == "tm.fifo.fault_drops",
+            "empty plan registered {name}"
+        );
+    }
+    let events = |r: &fv_chaos::SaturationRun| {
+        let ring = r.registry.ring();
+        ring.recent(ring.capacity())
+    };
+    let clean_events = events(&clean);
+    assert!(!clean_events.is_empty());
+    assert_eq!(
+        clean_events,
+        events(&faulted),
+        "empty plan perturbed the trace"
+    );
 }
 
 /// FlowValve vs kernel HTB through the full host stack: the same host
